@@ -18,6 +18,8 @@
 //! Budget arithmetic is integer-only and processes reports in arrival
 //! order, so the coordinator adds no nondeterminism to a run.
 
+#![forbid(unsafe_code)]
+
 use std::any::Any;
 
 use powerburst_core::{BudgetGrant, DemandReport};

@@ -1,12 +1,12 @@
 //! Property tests for the proxy's core pieces: the marking protocol's
-//! invariant, schedule wire-format round trips, and slot-layout safety for
-//! arbitrary demand vectors.
+//! invariant, schedule wire-format round trips, slot-layout safety for
+//! arbitrary demand vectors, and wire decoders on arbitrary bytes.
 
 use proptest::prelude::*;
 
 use powerburst_core::{
-    build_schedule, BuilderConfig, ClientDemand, MarkCoordinator, PolicyKind, Schedule,
-    ScheduleEntry,
+    build_schedule, BudgetGrant, BuilderConfig, ClientDemand, DemandReport, MarkCoordinator,
+    PolicyKind, Schedule, ScheduleEntry,
 };
 use powerburst_net::HostAddr;
 use powerburst_sim::SimDuration;
@@ -118,6 +118,71 @@ proptest! {
                 let saturated = cursor
                     >= SimDuration::from_ms(interval_ms).saturating_sub(SimDuration::from_ms(5));
                 prop_assert!(has || saturated, "demand {:?} lost a slot", d.client);
+            }
+        }
+    }
+}
+
+/// `bytes` with the header's entry count rewritten to what the payload
+/// actually holds, so the arbitrary-bytes tests also reach the
+/// successful-decode path.
+fn with_fitting_count(mut bytes: Vec<u8>) -> Vec<u8> {
+    if bytes.len() >= 19 {
+        let n = ((bytes.len() - 19) / 12) as u16;
+        bytes[9..11].copy_from_slice(&n.to_be_bytes());
+    }
+    bytes
+}
+
+/// `bytes` resized to `len` with `tag` in front: a well-formed frame of a
+/// fixed-size coordination message with arbitrary field values.
+fn framed(tag: u8, len: usize, mut bytes: Vec<u8>) -> Vec<u8> {
+    bytes.resize(len, 0);
+    bytes[0] = tag;
+    bytes
+}
+
+proptest! {
+    /// Wire decoders are total over arbitrary bytes, and decode → encode
+    /// is canonical: whatever decodes re-encodes to bytes that decode to
+    /// the same value. `decode_into` agrees with `decode` even when the
+    /// reused buffer starts dirty.
+    #[test]
+    fn schedule_decoders_are_total_and_canonical(
+        raw in prop::collection::vec(any::<u8>(), 0..128),
+    ) {
+        for bytes in [raw.clone(), with_fitting_count(raw)] {
+            let decoded = Schedule::decode(&bytes);
+            let mut reused = Schedule {
+                seq: 99,
+                entries: vec![ScheduleEntry {
+                    client: HostAddr(5),
+                    rp_offset: SimDuration::from_ms(1),
+                    duration: SimDuration::from_ms(2),
+                }],
+                ..Schedule::default()
+            };
+            let ok = Schedule::decode_into(&bytes, &mut reused);
+            prop_assert_eq!(ok, decoded.is_some());
+            if let Some(s) = decoded {
+                prop_assert_eq!(&reused, &s);
+                prop_assert_eq!(Schedule::decode(&s.encode()), Some(s));
+            }
+        }
+    }
+
+    #[test]
+    fn coordination_decoders_are_total_and_canonical(
+        raw in prop::collection::vec(any::<u8>(), 0..128),
+    ) {
+        for bytes in [raw.clone(), framed(1, DemandReport::WIRE_SIZE, raw.clone())] {
+            if let Some(r) = DemandReport::decode(&bytes) {
+                prop_assert_eq!(DemandReport::decode(&r.encode()), Some(r));
+            }
+        }
+        for bytes in [raw.clone(), framed(2, BudgetGrant::WIRE_SIZE, raw)] {
+            if let Some(g) = BudgetGrant::decode(&bytes) {
+                prop_assert_eq!(BudgetGrant::decode(&g.encode()), Some(g));
             }
         }
     }

@@ -13,17 +13,18 @@
 //! one shard per radio cell (cell `c` → shard `c + 1`) plus shard 0 for
 //! the wired backbone (servers, switch, coordinator). Each shard owns its
 //! nodes, cells, outbound link halves, event queue, timer index, packet-id
-//! space, and sniffer; cross-shard frames travel as mailbox messages
-//! applied at conservative-lookahead epoch barriers
-//! ([`powerburst_sim::shard`]). Single-cell worlds — every golden
-//! scenario — stay one shard and run the exact sequential loop they always
-//! did, so their traces are byte-identical by construction; multi-shard
-//! worlds are deterministic for any thread count because shard execution
-//! and mailbox drain order never depend on which OS thread runs a shard.
+//! space, sniffer, and outbox; cross-shard frames travel as outbox mail
+//! routed in sender-rank order at conservative-lookahead epoch barriers
+//! ([`powerburst_sim::shard`]). Every world runs through the same epoch
+//! loop: a single-cell world — every golden scenario — is one shard whose
+//! one epoch spans the whole `run_until` call, so it dispatches exactly
+//! what a plain sequential loop would; multi-shard worlds are
+//! deterministic for any thread count because shard execution and
+//! routing order never depend on which OS thread runs a shard.
 
 use powerburst_obs::{Counter, Recorder};
 use powerburst_sim::rng::streams;
-use powerburst_sim::shard::{run_epochs, EpochPlan, MailDrain, MailGrid, MailSender};
+use powerburst_sim::shard::{route, run_epochs, EpochPlan, Shard};
 use powerburst_sim::{derive_rng, ClockModel, EventQueue, FastHashMap, SimDuration, SimTime};
 use rand::rngs::StdRng;
 
@@ -161,24 +162,24 @@ struct WireHalf {
     peer_shard: u32,
 }
 
-/// A cross-shard message, produced during an epoch's compute phase and
-/// applied at the barrier's drain phase (or synchronously, on sequential
-/// paths). Everything here is commutative-or-ordered: `Arrive` lands in
-/// the destination queue ordered by `(time, seq)` with drains in fixed
-/// sender-rank order, and `QueueDrop` is a counter increment.
+/// A cross-shard message, pushed to the sender's outbox while it steps
+/// and routed at the next barrier (or right away, for out-of-band
+/// handlers). Everything here is commutative-or-ordered: `Arrive` lands
+/// in the destination queue ordered by `(time, seq)` with routing in
+/// fixed sender-rank order, and `QueueDrop` is a counter increment.
 enum Mail {
     /// Schedule an event (a wire arrival) in the destination shard.
     Arrive(SimTime, Ev),
-    /// The transmit-side medium dropped a frame addressed to this remote
-    /// node: bump its AP queue-drop counter.
-    QueueDrop(NodeId),
+    /// The transmit-side medium dropped a frame addressed to a remote
+    /// node: bump the queue-drop counter of the destination shard's node
+    /// at this local index.
+    QueueDrop(usize),
 }
 
 /// The per-shard mutable simulation state. Before the world is finalized
 /// (lazily, at first run), everything lives in a single staging shard 0;
 /// finalization redistributes it per the cell map.
 struct ShardState {
-    rank: u32,
     now: SimTime,
     queue: EventQueue<Ev>,
     nodes: Vec<NodeSlot>,
@@ -192,6 +193,8 @@ struct ShardState {
     /// Reused buffer for same-timestamp event batches.
     batch_buf: Vec<Ev>,
     sniffer: Sniffer,
+    /// Cross-shard mail sent since the last route, in send order.
+    outbox: Vec<(usize, Mail)>,
     /// Events dispatched by this shard so far (always counted — it feeds
     /// the events/sec profiling figure even when observability is off).
     events_processed: u64,
@@ -200,7 +203,6 @@ struct ShardState {
 impl ShardState {
     fn new(rank: u32) -> ShardState {
         ShardState {
-            rank,
             now: SimTime::ZERO,
             queue: EventQueue::with_capacity(1024),
             nodes: Vec::new(),
@@ -211,21 +213,29 @@ impl ShardState {
             send_buf: Vec::new(),
             batch_buf: Vec::new(),
             sniffer: Sniffer::new(),
+            outbox: Vec::new(),
             events_processed: 0,
         }
     }
+}
 
-    /// Apply one inbound cross-shard message.
-    fn apply(&mut self, topo: &Topo, m: Mail) {
+impl Shard for ShardState {
+    type Mail = Mail;
+
+    fn next_time(&self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+
+    fn outbox(&mut self) -> &mut Vec<(usize, Mail)> {
+        &mut self.outbox
+    }
+
+    fn deliver(&mut self, m: Mail) {
         match m {
             Mail::Arrive(t, ev) => {
                 self.queue.push(t, ev);
             }
-            Mail::QueueDrop(id) => {
-                let (sh, ix) = topo.loc(id);
-                debug_assert_eq!(sh, self.rank as usize);
-                self.nodes[ix].stats.queue_drops += 1;
-            }
+            Mail::QueueDrop(ix) => self.nodes[ix].stats.queue_drops += 1,
         }
     }
 }
@@ -277,8 +287,6 @@ pub struct World {
     topo: Topo,
     /// Staging: exactly one shard holding everything until `finalize`.
     shards: Vec<ShardState>,
-    /// Cross-shard mailboxes, sized at finalize.
-    mail: MailGrid<Mail>,
     /// Staged bidirectional links; split into per-shard halves at finalize.
     links: Vec<Link>,
     /// Wired nodes explicitly pinned to a cell's shard (a cell's proxy
@@ -305,7 +313,6 @@ impl World {
                 lookahead: SimDuration::MAX,
             },
             shards: vec![ShardState::new(0)],
-            mail: MailGrid::new(1),
             links: Vec::new(),
             pins: Vec::new(),
             obs: Recorder::disabled(),
@@ -631,8 +638,8 @@ impl World {
     /// staging state, split links into sender-owned halves, and derive the
     /// conservative lookahead. Idempotent; runs lazily before the first
     /// event. Worlds with fewer than two radio cells stay one shard — the
-    /// redistribution is then a no-op re-wiring and the event loop is the
-    /// exact sequential loop of the pre-shard engine.
+    /// redistribution is then a no-op re-wiring, and the epoch loop runs
+    /// each `run_until` as a single window.
     fn finalize(&mut self) {
         if self.finalized {
             return;
@@ -701,7 +708,6 @@ impl World {
             );
         }
         self.topo.lookahead = lookahead;
-        self.mail = MailGrid::new(shard_total);
         self.shards = shards;
     }
 
@@ -716,37 +722,19 @@ impl World {
                 self.with_node(NodeId(i as u32), |n, ctx| n.on_start(ctx));
             }
         }
-        // `run_window` processes events strictly before its end; `t + 1 µs`
-        // makes the whole call inclusive of events at `t`, matching the
-        // pre-shard loop's `ev_t <= t` exactly (time is integral µs).
-        let cap = t.saturating_add(SimDuration::from_us(1));
-        if self.shards.len() == 1 {
-            // Sequential fast path: the exact legacy event loop. No mail
-            // can exist — every destination is shard 0.
-            let tx = self.mail.sender(0);
-            Exec { rank: 0, topo: &self.topo, obs: &self.obs, s: &mut self.shards[0], tx }
-                .run_window(cap);
-        } else {
-            let threads = match self.threads {
-                0 => powerburst_sim::default_threads(),
-                n => n,
-            };
-            let plan = EpochPlan { threads, target: t, lookahead: self.topo.lookahead };
-            let topo = &self.topo;
-            let obs = &self.obs;
-            run_epochs(
-                &mut self.shards,
-                &mut self.mail,
-                plan,
-                |s: &ShardState| s.queue.peek_time(),
-                |r, s, wend, tx| {
-                    Exec { rank: r as u32, topo, obs, s, tx }.run_window(wend);
-                },
-                |_r, s, mut rx: MailDrain<'_, Mail>| {
-                    rx.drain(|_from, m| s.apply(topo, m));
-                },
-            );
-        }
+        // Windows end at most at `t + 1 µs`, which makes the call inclusive
+        // of events at `t` (time is integral µs). A one-shard world has no
+        // cross-shard link, so its lookahead is unbounded and its first
+        // window already spans everything up to `t`.
+        let threads = match self.threads {
+            0 => powerburst_sim::default_threads(),
+            n => n,
+        };
+        let plan = EpochPlan { threads, target: t, lookahead: self.topo.lookahead };
+        let (topo, obs) = (&self.topo, &self.obs);
+        run_epochs(&mut self.shards, plan, |r, s, wend| {
+            Exec { rank: r as u32, topo, obs, s }.run_window(wend);
+        });
         for s in &mut self.shards {
             s.now = t;
         }
@@ -754,40 +742,26 @@ impl World {
     }
 
     /// Run a handler on a node (out of band), then route its sends and
-    /// synchronously apply any cross-shard mail they produced — injections
-    /// between `run_until` calls must be visible before the next epoch is
-    /// planned.
+    /// the cross-shard mail they produced — injections between `run_until`
+    /// calls must be visible before the next epoch is planned.
     fn with_node<F: FnOnce(&mut dyn Node, &mut Ctx<'_>)>(&mut self, id: NodeId, f: F) {
         self.finalize();
         let (sh, _) = self.topo.loc(id);
-        {
-            let tx = self.mail.sender(sh);
-            let mut ex = Exec {
-                rank: sh as u32,
-                topo: &self.topo,
-                obs: &self.obs,
-                s: &mut self.shards[sh],
-                tx,
-            };
-            ex.with_node(id, f);
-        }
-        if self.shards.len() > 1 {
-            let World { shards, mail, topo, .. } = self;
-            mail.drain_row(sh, |to, m| shards[to].apply(topo, m));
-        }
+        let s = &mut self.shards[sh];
+        Exec { rank: sh as u32, topo: &self.topo, obs: &self.obs, s }.with_node(id, f);
+        route(&mut self.shards, sh, |s| s);
     }
 }
 
 /// One shard's execution view: the shard's own mutable state plus the
-/// world-wide read-only tables and the outbound mailbox row. All event
-/// dispatch — timers, wire arrivals, radio delivery — happens through
-/// this; the only cross-shard effects are `tx` sends.
+/// world-wide read-only tables. All event dispatch — timers, wire
+/// arrivals, radio delivery — happens through this; the only cross-shard
+/// effects are pushes to the shard's outbox.
 struct Exec<'a> {
     rank: u32,
     topo: &'a Topo,
     obs: &'a Recorder,
     s: &'a mut ShardState,
-    tx: MailSender<'a, Mail>,
 }
 
 impl Exec<'_> {
@@ -908,9 +882,9 @@ impl Exec<'_> {
                             self.s.queue.push(arrive, ev);
                         } else {
                             // Arrives ≥ one lookahead away — at or past the
-                            // epoch window's end — so delivery via the next
-                            // barrier's drain phase is causally safe.
-                            self.tx.send(peer_shard as usize, Mail::Arrive(arrive, ev));
+                            // epoch window's end — so delivery by the next
+                            // barrier's route is causally safe.
+                            self.s.outbox.push((peer_shard as usize, Mail::Arrive(arrive, ev)));
                         }
                     }
                     WireOutcome::Dropped => { /* counted on the link */ }
@@ -960,9 +934,9 @@ impl Exec<'_> {
                             if dsh == self.rank as usize {
                                 self.s.nodes[dix].stats.queue_drops += 1;
                             } else {
-                                // A commutative counter bump; barrier-phase
-                                // application cannot reorder anything.
-                                self.tx.send(dsh, Mail::QueueDrop(dst));
+                                // A commutative counter bump; applying it at
+                                // the barrier cannot reorder anything.
+                                self.s.outbox.push((dsh, Mail::QueueDrop(dix)));
                             }
                         }
                     }

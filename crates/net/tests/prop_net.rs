@@ -1,12 +1,14 @@
 //! Property tests for the network substrate: the shared medium never
-//! overlaps transmissions, links preserve order, and the AP delay process
-//! stays within its configured envelope.
+//! overlaps transmissions, links preserve order, the AP delay process
+//! stays within its configured envelope, and the receiver-report decoders
+//! are total over arbitrary bytes.
 
 use proptest::prelude::*;
 
+use powerburst_net::feedback::{decode_report, encode_report, REPORT_LEN, REPORT_LEN_BUFFERED};
 use powerburst_net::{
     AirtimeModel, ApDelayParams, ApDelayProcess, Endpoint, IfaceId, Link, LinkSpec, Medium, NodeId,
-    TxOutcome, WireOutcome,
+    ReceiverReport, TxOutcome, WireOutcome,
 };
 use powerburst_sim::{derive_rng, SimDuration, SimTime};
 
@@ -104,6 +106,25 @@ proptest! {
                 med.backlog(SimTime::ZERO),
                 cap
             );
+        }
+    }
+}
+
+proptest! {
+    /// The receiver-report decoders (24- and 32-byte layouts) are total
+    /// over arbitrary bytes, and decode → encode is canonical.
+    #[test]
+    fn receiver_report_decoders_are_total_and_canonical(
+        bytes in prop::collection::vec(any::<u8>(), 0..128),
+    ) {
+        let r = ReceiverReport::decode(&bytes);
+        prop_assert_eq!(r.is_some(), bytes.len() >= REPORT_LEN);
+        if let Some(r) = r {
+            prop_assert_eq!(r.buffer_bytes.is_some(), bytes.len() >= REPORT_LEN_BUFFERED);
+            prop_assert_eq!(ReceiverReport::decode(&r.encode()), Some(r));
+        }
+        if let Some((flow, seq, got)) = decode_report(&bytes) {
+            prop_assert_eq!(decode_report(&encode_report(flow, seq, got)), Some((flow, seq, got)));
         }
     }
 }

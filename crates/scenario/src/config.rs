@@ -225,7 +225,7 @@ pub struct ScenarioConfig {
     /// `PB_THREADS` / available parallelism). Thread count never changes
     /// any simulated result — the conservative-lookahead engine is
     /// byte-identical at every thread count (see the determinism matrix
-    /// test) — and 1-cell worlds always run the sequential fast path.
+    /// test) — and 1-cell worlds, being one shard, always run on one.
     pub threads: usize,
 }
 

@@ -18,7 +18,8 @@
 //! * [`sweep`] — a scoped-thread parallel runner for fanning experiment
 //!   configurations across cores;
 //! * [`shard`] — the conservative-lookahead epoch executor that runs one
-//!   world's shards across threads with deterministic mailbox exchange;
+//!   world's shards across threads, routing per-shard outboxes in sender
+//!   order at each barrier;
 //! * [`stats`] — the summary statistics and least-squares fit the
 //!   experiment harnesses report.
 //!
@@ -27,6 +28,7 @@
 //! integer time plus explicitly seeded `StdRng` streams; no wall clock, no
 //! `HashMap` iteration order on any result path.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;
@@ -42,7 +44,7 @@ pub use clock::{ClockModel, LocalTime};
 pub use events::{EventId, EventQueue};
 pub use hash::{FastHashBuilder, FastHashMap};
 pub use rng::derive_rng;
-pub use shard::{run_epochs, EpochPlan, MailDrain, MailGrid, MailSender};
+pub use shard::{route, run_epochs, EpochPlan, Shard};
 pub use stats::{LinearFit, Summary};
 pub use sweep::{default_threads, parallel_sweep, parallel_sweep_timed, SweepTiming};
 pub use time::{SimDuration, SimTime};

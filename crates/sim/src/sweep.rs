@@ -7,11 +7,10 @@
 //! jobs from a shared atomic cursor. Results come back in input order
 //! regardless of completion order, so tables are reproducible.
 //!
-//! Result collection is lock-free: the atomic cursor hands each job index
-//! to exactly one worker, so every result slot has a single writer and
-//! workers never contend on a shared lock to publish results.
+//! Each worker keeps the `(index, result, wall time)` triples it produced
+//! and hands them back through its join handle; the caller thread puts
+//! them back in input order.
 
-use std::cell::UnsafeCell;
 use std::time::Instant;
 
 use crate::shard::Cursor;
@@ -26,18 +25,6 @@ pub struct SweepTiming {
     /// Worker threads actually used.
     pub threads: usize,
 }
-
-/// One result slot, written by exactly one worker.
-///
-/// The cursor's `fetch_add` hands each index to a single worker, so each
-/// `UnsafeCell` has one writer for the lifetime of the scope; the main
-/// thread only reads after `thread::scope` has joined every worker, which
-/// provides the happens-before edge.
-struct Slot<T>(UnsafeCell<Option<T>>);
-
-// SAFETY: see the struct docs — per-index single writer, reads only after
-// all workers have been joined.
-unsafe impl<T: Send> Sync for Slot<T> {}
 
 /// Run `f` over every config, using up to `threads` worker threads.
 /// Results are returned in the same order as `configs`.
@@ -67,55 +54,38 @@ where
     if n == 0 {
         return (Vec::new(), SweepTiming::default());
     }
-    let threads = threads.min(n);
-    if threads <= 1 {
-        let mut job_wall_s = Vec::with_capacity(n);
-        let results = configs
-            .iter()
-            .map(|c| {
-                let t0 = Instant::now();
-                let r = f(c);
-                job_wall_s.push(t0.elapsed().as_secs_f64());
-                r
-            })
-            .collect();
-        let timing =
-            SweepTiming { wall_s: sweep_start.elapsed().as_secs_f64(), job_wall_s, threads: 1 };
-        return (results, timing);
-    }
-
+    let threads = threads.clamp(1, n);
     let cursor = Cursor::new();
-    let slots: Vec<Slot<(R, f64)>> = (0..n).map(|_| Slot(UnsafeCell::new(None))).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let slots = &slots;
-            let f = &f;
-            let configs = &configs;
-            scope.spawn(move || loop {
-                let idx = cursor.next();
-                if idx >= n {
-                    break;
-                }
-                let t0 = Instant::now();
-                let r = f(&configs[idx]);
-                let dt = t0.elapsed().as_secs_f64();
-                // SAFETY: `idx` came from the cursor's fetch_add, so this
-                // worker is the only writer of `slots[idx]`; the main
-                // thread reads only after the scope joins all workers.
-                unsafe { *slots[idx].0.get() = Some((r, dt)) };
-            });
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let idx = cursor.next();
+            if idx >= n {
+                return done;
+            }
+            let t0 = Instant::now();
+            let r = f(&configs[idx]);
+            done.push((idx, r, t0.elapsed().as_secs_f64()));
         }
-    });
+    };
+    let per_worker: Vec<Vec<(usize, R, f64)>> = if threads == 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    };
 
-    let mut results = Vec::with_capacity(n);
-    let mut job_wall_s = Vec::with_capacity(n);
-    for s in slots {
-        let (r, dt) = s.0.into_inner().expect("every job produced a result");
-        results.push(r);
-        job_wall_s.push(dt);
+    let mut slots: Vec<Option<(R, f64)>> = (0..n).map(|_| None).collect();
+    for (idx, r, dt) in per_worker.into_iter().flatten() {
+        slots[idx] = Some((r, dt));
     }
+    let (results, job_wall_s) =
+        slots.into_iter().map(|s| s.expect("every job produced a result")).unzip();
     (results, SweepTiming { wall_s: sweep_start.elapsed().as_secs_f64(), job_wall_s, threads })
 }
 
@@ -209,7 +179,7 @@ mod tests {
 
     #[test]
     fn results_survive_nontrivial_types() {
-        // Heap-owning results exercise the slot handoff (drop correctness).
+        // Heap-owning results exercise the join-handle handoff.
         let configs: Vec<usize> = (0..50).collect();
         let out = parallel_sweep(configs, 8, |c| vec![*c; 3]);
         for (i, v) in out.iter().enumerate() {

@@ -15,7 +15,10 @@
 //! ```
 //!
 //! Argument parsing is hand-rolled (the workspace's dependency budget is
-//! deliberately small); every flag has a sane paper-default.
+//! deliberately small) and strict: every flag has a sane paper-default,
+//! but a flag the subcommand does not accept, a missing value, or a value
+//! that does not parse exits with status 2 and names the flag. `--help`
+//! or `-h` anywhere prints the usage and runs nothing.
 
 use std::process::ExitCode;
 
@@ -32,27 +35,30 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
-    match cmd.as_str() {
+    if ["--help", "-h", "help"].contains(&cmd.as_str())
+        || rest.iter().any(|a| a == "--help" || a == "-h")
+    {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let outcome = match cmd.as_str() {
         "run" => cmd_run(rest),
         "bench" => cmd_bench(rest),
         "calibrate" => cmd_calibrate(rest),
         "experiment" => cmd_experiment(rest),
-        "list" => {
+        "list" => Flags::new(rest, &[], &[]).map(|_| {
             println!("experiments:");
             for (name, desc) in EXPERIMENTS {
                 println!("  {name:<24} {desc}");
             }
             ExitCode::SUCCESS
-        }
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        other => {
-            eprintln!("unknown command `{other}`\n{USAGE}");
-            ExitCode::FAILURE
-        }
-    }
+        }),
+        other => Err(format!("unknown command `{other}`")),
+    };
+    outcome.unwrap_or_else(|msg| {
+        eprintln!("powerburst {cmd}: {msg}\n\n{USAGE}");
+        ExitCode::from(2)
+    })
 }
 
 const USAGE: &str = "powerburst — ICPP 2004 transparent power-aware proxy reproduction
@@ -72,32 +78,56 @@ USAGE:
                  [--fault-jitter-ms M] [--fault-jitter-prob P]
                  [--fault-skew-ppm X]
   powerburst bench [--secs S] [--seed K] [--threads N] [--repeat R]
-                   [--out FILE] [--metrics-out FILE] [--baseline FILE]
-                   [--fail-on-invariants] [--fail-on-regression PCT]
+                   [--out FILE] [--metrics-out FILE] [--trace-events FILE]
+                   [--baseline FILE] [--fail-on-invariants]
+                   [--fail-on-regression PCT]
   powerburst calibrate [--seed K]
   powerburst experiment <name>|all [--secs S] [--seed K]
-  powerburst list";
+  powerburst list
+  powerburst <command> --help";
 
-/// Tiny flag parser: `--key value` and boolean `--key` pairs.
+/// Strict flag parser over `--key value` pairs and boolean `--key`
+/// switches. Errors name the offending flag.
 struct Flags<'a> {
-    args: &'a [String],
+    flags: Vec<(&'a str, Option<&'a str>)>,
 }
 
 impl<'a> Flags<'a> {
+    /// Accept exactly the subcommand's `values` (flags that take an
+    /// argument) and `switches`; anything else is an error.
+    fn new(args: &'a [String], values: &[&str], switches: &[&str]) -> Result<Flags<'a>, String> {
+        let mut flags = Vec::new();
+        let mut it = args.iter().map(String::as_str);
+        while let Some(a) = it.next() {
+            if values.contains(&a) {
+                let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
+                flags.push((a, Some(v)));
+            } else if switches.contains(&a) {
+                flags.push((a, None));
+            } else {
+                return Err(format!("unknown flag `{a}`"));
+            }
+        }
+        Ok(Flags { flags })
+    }
+
     fn get(&self, key: &str) -> Option<&'a str> {
-        self.args
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.args.get(i + 1))
-            .map(|s| s.as_str())
+        self.flags.iter().find(|(k, _)| *k == key).and_then(|&(_, v)| v)
     }
 
     fn has(&self, key: &str) -> bool {
-        self.args.iter().any(|a| a == key)
+        self.flags.iter().any(|(k, _)| *k == key)
     }
 
-    fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+    /// The parsed value of `key`, if given.
+    fn opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| v.parse().map_err(|_| format!("invalid value `{v}` for {key}")))
+            .transpose()
+    }
+
+    fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.opt(key)?.unwrap_or(default))
     }
 }
 
@@ -112,20 +142,43 @@ fn pattern(name: &str) -> Option<VideoPattern> {
     })
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let f = Flags { args };
-    let n_video: usize = f.parse("--clients", 10);
-    let n_web: usize = f.parse("--web", 0);
-    let ftp: u64 = f.parse("--ftp", 0);
-    let secs: u64 = f.parse("--secs", 119);
-    let seed: u64 = f.parse("--seed", 7);
-    let pat = match pattern(f.get("--pattern").unwrap_or("56k")) {
-        Some(p) => p,
-        None => {
-            eprintln!("unknown --pattern (use 56k|256k|512k|split|mix)");
-            return ExitCode::FAILURE;
-        }
-    };
+const RUN_VALUES: &[&str] = &[
+    "--clients",
+    "--pattern",
+    "--interval",
+    "--secs",
+    "--seed",
+    "--policy",
+    "--cells",
+    "--threads",
+    "--coord-pool",
+    "--stagger-ms",
+    "--web",
+    "--ftp",
+    "--trace-out",
+    "--metrics-out",
+    "--trace-events",
+    "--fault-loss",
+    "--fault-dup",
+    "--fault-reorder",
+    "--fault-reorder-ms",
+    "--fault-sched-drop",
+    "--fault-jitter-ms",
+    "--fault-jitter-prob",
+    "--fault-skew-ppm",
+];
+const RUN_SWITCHES: &[&str] =
+    &["--live", "--psm", "--static", "--admission", "--fail-on-invariants"];
+
+fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
+    let f = Flags::new(args, RUN_VALUES, RUN_SWITCHES)?;
+    let n_video: usize = f.parse("--clients", 10)?;
+    let n_web: usize = f.parse("--web", 0)?;
+    let ftp: u64 = f.parse("--ftp", 0)?;
+    let secs: u64 = f.parse("--secs", 119)?;
+    let seed: u64 = f.parse("--seed", 7)?;
+    let pat = pattern(f.get("--pattern").unwrap_or("56k"))
+        .ok_or("unknown --pattern (use 56k|256k|512k|split|mix)")?;
     let policy = if f.has("--psm") {
         PolicyKind::PsmBeacon { interval: SimDuration::from_ms(100) }
     } else if f.has("--static") {
@@ -140,10 +193,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             "var" | "variable" => None,
             ms => match ms.parse::<u64>() {
                 Ok(ms) => Some(SimDuration::from_ms(ms)),
-                Err(_) => {
-                    eprintln!("unknown --interval (use 100|500|var or milliseconds)");
-                    return ExitCode::FAILURE;
-                }
+                Err(_) => return Err("unknown --interval (use 100|500|var or milliseconds)".into()),
             },
         };
         let fixed = interval.unwrap_or(SimDuration::from_ms(100));
@@ -158,10 +208,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 interval: fixed,
                 target_buffer: powerburst::core::DEFAULT_TARGET_BUFFER,
             },
-            _ => {
-                eprintln!("unknown --policy (use fixed|variable|channel|buffer)");
-                return ExitCode::FAILURE;
-            }
+            _ => return Err("unknown --policy (use fixed|variable|channel|buffer)".into()),
         }
     };
 
@@ -181,18 +228,18 @@ fn cmd_run(args: &[String]) -> ExitCode {
         ScenarioConfig::new(seed, policy, clients).with_duration(SimDuration::from_secs(secs));
     // Multi-cell: N cells round-robin over the client list, one AP +
     // proxy shard per occupied cell, coordinator tier when N > 1.
-    let cells: usize = f.parse("--cells", 1);
+    let cells: usize = f.parse("--cells", 1)?;
     if cells > 1 {
         cfg = cfg.with_cells(cells);
     }
     // Worker threads for the sharded event core (0 = PB_THREADS/auto).
     // Outputs are byte-identical at every value; single-cell worlds
     // always run sequentially regardless.
-    cfg = cfg.with_threads(f.parse("--threads", 0));
-    if let Some(pool) = f.get("--coord-pool").and_then(|v| v.parse().ok()) {
+    cfg = cfg.with_threads(f.parse("--threads", 0)?);
+    if let Some(pool) = f.opt("--coord-pool")? {
         cfg = cfg.with_coord_pool(pool);
     }
-    if let Some(ms) = f.get("--stagger-ms").and_then(|v| v.parse().ok()) {
+    if let Some(ms) = f.opt("--stagger-ms")? {
         cfg.stagger = SimDuration::from_ms(ms);
     }
     if f.has("--live") {
@@ -202,17 +249,17 @@ fn cmd_run(args: &[String]) -> ExitCode {
         cfg.admission = Some(powerburst::core::AdmissionConfig::default());
     }
     cfg.faults = FaultPlan {
-        loss_prob: f.parse("--fault-loss", 0.0),
-        dup_prob: f.parse("--fault-dup", 0.0),
-        reorder_prob: f.parse("--fault-reorder", 0.0),
-        reorder_max: SimDuration::from_ms(f.parse("--fault-reorder-ms", 5)),
-        sched_drop_prob: f.parse("--fault-sched-drop", 0.0),
+        loss_prob: f.parse("--fault-loss", 0.0)?,
+        dup_prob: f.parse("--fault-dup", 0.0)?,
+        reorder_prob: f.parse("--fault-reorder", 0.0)?,
+        reorder_max: SimDuration::from_ms(f.parse("--fault-reorder-ms", 5)?),
+        sched_drop_prob: f.parse("--fault-sched-drop", 0.0)?,
         ap_jitter_prob: f.parse(
             "--fault-jitter-prob",
             if f.get("--fault-jitter-ms").is_some() { 0.2 } else { 0.0 },
-        ),
-        ap_jitter_max: SimDuration::from_ms(f.parse("--fault-jitter-ms", 0)),
-        clock_skew_ppm: f.parse("--fault-skew-ppm", 0.0),
+        )?,
+        ap_jitter_max: SimDuration::from_ms(f.parse("--fault-jitter-ms", 0)?),
+        clock_skew_ppm: f.parse("--fault-skew-ppm", 0.0)?,
     };
     let metrics_out = f.get("--metrics-out");
     let events_out = f.get("--trace-events");
@@ -233,7 +280,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         let trace = a.world.take_trace();
         if let Err(e) = std::fs::write(path, to_jsonl(&trace)) {
             eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!("trace: {} frames -> {path}", trace.len());
         // Re-run for the structured report (runs are deterministic).
@@ -286,13 +333,13 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     }
     if let Err(code) = write_obs_exports(&r, metrics_out, events_out) {
-        return code;
+        return Ok(code);
     }
     if f.has("--fail-on-invariants") && !r.invariants.is_clean() {
         eprintln!("failing: {} invariant violation(s)", r.invariants.total());
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Write the metrics (JSON, or CSV when the path ends in `.csv`) and the
@@ -327,14 +374,29 @@ fn write_obs_exports(
     Ok(())
 }
 
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let f = Flags { args };
+fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
+    let f = Flags::new(
+        args,
+        &[
+            "--secs",
+            "--seed",
+            "--threads",
+            "--repeat",
+            "--out",
+            "--metrics-out",
+            "--trace-events",
+            "--baseline",
+            "--fail-on-regression",
+        ],
+        &["--fail-on-invariants"],
+    )?;
     let opt = exp::ExpOptions {
-        duration: SimDuration::from_secs(f.parse("--secs", 25)),
-        seed: f.parse("--seed", 7),
-        threads: f.parse("--threads", powerburst::sim::default_threads()),
+        duration: SimDuration::from_secs(f.parse("--secs", 25)?),
+        seed: f.parse("--seed", 7)?,
+        threads: f.parse("--threads", powerburst::sim::default_threads())?,
     };
-    let repeat: usize = f.parse("--repeat", 1).max(1);
+    let repeat: usize = f.parse("--repeat", 1)?.max(1);
+    let fail_on_regression: Option<f64> = f.opt("--fail-on-regression")?;
     eprintln!(
         "profiling fig4 sweep + {} scenarios + instrumented run ({} s, seed {}, {} threads, {} repeat(s))...",
         exp::BENCH_SCENARIOS.len(),
@@ -355,7 +417,7 @@ fn cmd_bench(args: &[String]) -> ExitCode {
     let out = f.get("--out").unwrap_or("BENCH_pr10.json");
     if let Err(e) = std::fs::write(out, report.to_json()) {
         eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     for st in &report.stages {
         println!(
@@ -383,15 +445,14 @@ fn cmd_bench(args: &[String]) -> ExitCode {
                 for line in powerburst::obs::delta_lines(&current, &baseline) {
                     println!("  {line}");
                 }
-                if f.has("--fail-on-regression") {
-                    let threshold: f64 = f.parse("--fail-on-regression", 20.0);
+                if let Some(threshold) = fail_on_regression {
                     let offenders = powerburst::obs::regressions(&current, &baseline, threshold);
                     if !offenders.is_empty() {
                         println!("regressions past -{threshold:.1}%:");
                         for line in &offenders {
                             println!("  {line}");
                         }
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                     println!("no stage regressed past -{threshold:.1}%");
                 }
@@ -400,29 +461,29 @@ fn cmd_bench(args: &[String]) -> ExitCode {
         }
     }
     if let Err(code) = write_obs_exports(&r, f.get("--metrics-out"), f.get("--trace-events")) {
-        return code;
+        return Ok(code);
     }
     if !r.invariants.is_clean() {
         println!("invariants: {} violation(s) in instrumented run", r.invariants.total());
         if f.has("--fail-on-invariants") {
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     } else {
         println!("invariants: clean");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_calibrate(args: &[String]) -> ExitCode {
-    let f = Flags { args };
-    let seed: u64 = f.parse("--seed", 7);
+fn cmd_calibrate(args: &[String]) -> Result<ExitCode, String> {
+    let f = Flags::new(args, &["--seed"], &[])?;
+    let seed: u64 = f.parse("--seed", 7)?;
     let cal = calibrate(&NetworkConfig::default(), seed, &powerburst::scenario::DEFAULT_SIZES, 20);
     println!(
         "fitted send-cost model: time_us = {:.1} + {:.4} * bytes (R² {:.4}, {} samples)",
         cal.model.alpha_us, cal.model.beta_us, cal.r2, cal.samples
     );
     println!("effective bandwidth at 728 B frames: {:.2} Mb/s", cal.model.effective_bps(728) / 1e6);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 const EXPERIMENTS: &[(&str, &str)] = &[
@@ -446,15 +507,12 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ("bandwidth", "M1: bandwidth microbenchmark + linear fit"),
 ];
 
-fn cmd_experiment(args: &[String]) -> ExitCode {
-    let Some(name) = args.first() else {
-        eprintln!("experiment name required; see `powerburst list`");
-        return ExitCode::FAILURE;
-    };
-    let f = Flags { args: &args[1..] };
+fn cmd_experiment(args: &[String]) -> Result<ExitCode, String> {
+    let name = args.first().ok_or("experiment name required; see `powerburst list`")?;
+    let f = Flags::new(&args[1..], &["--secs", "--seed"], &[])?;
     let opt = exp::ExpOptions {
-        duration: SimDuration::from_secs(f.parse("--secs", 119)),
-        seed: f.parse("--seed", 7),
+        duration: SimDuration::from_secs(f.parse("--secs", 119)?),
+        seed: f.parse("--seed", 7)?,
         ..exp::ExpOptions::default()
     };
 
@@ -478,11 +536,8 @@ fn cmd_experiment(args: &[String]) -> ExitCode {
         "policies" => exp::render_policy_ab(&exp::ab_policy_comparison(&opt)),
         "bandwidth" => exp::render_bandwidth_model(&exp::tab_bandwidth_model(&opt)),
         "all" => exp::run_all(&opt),
-        other => {
-            eprintln!("unknown experiment `{other}`; see `powerburst list`");
-            return ExitCode::FAILURE;
-        }
+        other => return Err(format!("unknown experiment `{other}`; see `powerburst list`")),
     };
     println!("{out}");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -41,3 +41,25 @@ fn crate_graph_dot_golden_is_current() {
          `cargo run -p powerburst-lint -- graph --dot > docs/crate-graph.dot`"
     );
 }
+
+#[test]
+fn every_library_crate_forbids_unsafe_code() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut libs = vec![root.join("src/lib.rs")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ readable") {
+        let lib = entry.expect("crates/ entry readable").path().join("src/lib.rs");
+        if lib.is_file() {
+            libs.push(lib);
+        }
+    }
+    assert!(libs.len() > 10, "found only {} library roots", libs.len());
+    let missing: Vec<String> = libs
+        .iter()
+        .filter(|lib| {
+            let src = std::fs::read_to_string(lib).expect("lib.rs readable");
+            !src.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]")
+        })
+        .map(|lib| lib.strip_prefix(root).unwrap_or(lib).display().to_string())
+        .collect();
+    assert!(missing.is_empty(), "library roots without #![forbid(unsafe_code)]: {missing:?}");
+}

@@ -4,7 +4,7 @@
 //! runs the same discipline over a multi-cell world on 4 worker threads.
 //! The parallel machinery is allowed its per-`run_until` setup (scoped
 //! thread spawns, barriers, the shard view) but nothing per event: epoch
-//! windows, mailbox rows, and per-shard queues/buffers must all run in
+//! windows, outboxes, and per-shard queues/buffers must all run in
 //! retained capacity once warm. The counting allocator is process-global,
 //! so worker-thread allocations are counted exactly like main-thread ones.
 //!
@@ -46,7 +46,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Same ceiling as the sequential gate: sharding must not cost steady-state
 /// allocations. Epoch control flow is allocation-free by construction
-/// (atomics + pre-sized mailboxes); what remains is the same bounded
+/// (locks and barriers built once per call, outboxes that keep their
+/// capacity); what remains is the same bounded
 /// per-interval work the sequential budget already absorbs.
 const BUDGET_ALLOCS_PER_EVENT: f64 = 0.10;
 
@@ -74,7 +75,7 @@ fn sharded_steady_state_stays_under_allocation_budget() {
 
     let mut a = assemble(&cfg);
 
-    // Warm-up: stream stagger, pool fills, queue/mailbox growth points.
+    // Warm-up: stream stagger, pool fills, queue/outbox growth points.
     a.world.run_until(SimTime::ZERO + SimDuration::from_secs(20));
 
     let events_before = a.world.events_processed();
