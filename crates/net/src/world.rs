@@ -281,8 +281,8 @@ pub struct World {
     /// Topology frozen (state redistributed into shards)? Set lazily at
     /// the first run; all `add_*`/`attach_*` calls must precede it.
     finalized: bool,
-    /// Worker threads for multi-shard runs; 0 = auto (`PB_THREADS` or the
-    /// machine's parallelism). Thread count never changes results.
+    /// Worker threads for multi-shard runs; 0 = auto (the machine's
+    /// parallelism). Thread count never changes results.
     threads: usize,
     topo: Topo,
     /// Staging: exactly one shard holding everything until `finalize`.
@@ -325,7 +325,7 @@ impl World {
     }
 
     /// Set the worker-thread count for multi-shard runs. `0` (the
-    /// default) resolves `PB_THREADS` / machine parallelism at run time.
+    /// default) resolves the machine's parallelism at run time.
     /// Purely a scheduling knob: results are identical for any value.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;

@@ -69,21 +69,6 @@ pub enum EventKind {
         /// Queued packets.
         pkts: u64,
     },
-    /// A reporting harness (bench target, experiment runner) started: the
-    /// options in force, stamped at t=0. Emitted only by harness code —
-    /// never by sim-path crates — so result-bearing event streams are
-    /// unaffected; it exists so harness banners flow through the
-    /// structured channel instead of ad-hoc printing (lint rule D007).
-    HarnessBanner {
-        /// Harness name (the bench target or experiment id).
-        name: &'static str,
-        /// Master seed in force.
-        seed: u64,
-        /// Simulated run duration, µs.
-        duration_us: u64,
-        /// Sweep worker threads.
-        threads: u32,
-    },
 }
 
 impl EventKind {
@@ -96,7 +81,6 @@ impl EventKind {
             EventKind::WakeLead { .. } => "wake_lead",
             EventKind::WnicState { .. } => "wnic_state",
             EventKind::QueueDepth { .. } => "queue_depth",
-            EventKind::HarnessBanner { .. } => "harness_banner",
         }
     }
 }
@@ -147,12 +131,6 @@ impl ObsEvent {
             EventKind::QueueDepth { client, bytes, pkts } => {
                 format!(",\"client\":{client},\"bytes\":{bytes},\"pkts\":{pkts}")
             }
-            EventKind::HarnessBanner { name, seed, duration_us, threads } => {
-                format!(
-                    ",\"name\":\"{name}\",\"seed\":{seed},\"duration_us\":{duration_us},\
-                     \"threads\":{threads}"
-                )
-            }
         };
         format!("{head}{body}}}")
     }
@@ -185,19 +163,5 @@ mod tests {
         };
         assert!(s.to_json().contains("\"saturated\":true"));
         assert!(s.to_json().contains("\"kind\":\"schedule_broadcast\""));
-        let h = ObsEvent {
-            t_us: 0,
-            kind: EventKind::HarnessBanner {
-                name: "fig4_udp_video",
-                seed: 7,
-                duration_us: 119_000_000,
-                threads: 4,
-            },
-        };
-        assert_eq!(
-            h.to_json(),
-            "{\"t_us\":0,\"kind\":\"harness_banner\",\"name\":\"fig4_udp_video\",\"seed\":7,\
-             \"duration_us\":119000000,\"threads\":4}"
-        );
     }
 }

@@ -14,8 +14,8 @@
 //!    quantities (integral microseconds, bytes, counts) and are exported in
 //!    catalog / recording order — the same run produces bit-identical JSON
 //!    and CSV across repeats and across sweep thread counts. Wall-clock
-//!    data is quarantined in [`profile`], which feeds the separate
-//!    `BENCH_*.json` perf reports and never enters a metrics export.
+//!    data is quarantined in [`profile`] and never enters a metrics
+//!    export.
 //! 3. **Static metric ids.** Counters, gauges, and histograms are keyed by
 //!    the enums in [`metrics`]; storage is fixed-size atomic arrays, so the
 //!    enabled hot path is also allocation-free.
@@ -34,9 +34,6 @@ pub mod report;
 
 pub use events::{EventKind, ObsEvent};
 pub use metrics::{Counter, Gauge, Hist, BUCKET_BOUNDS};
-pub use profile::{
-    delta_lines, parse_stage_rates, regressions, BenchJob, BenchReport, BenchStage, StageRate,
-    Stopwatch, MIN_GATE_WALL_S,
-};
+pub use profile::Stopwatch;
 pub use recorder::{Recorder, RecorderConfig};
 pub use report::{HistSnapshot, ObsReport};

@@ -1,10 +1,9 @@
 //! Wall-clock profiling, quarantined from the deterministic exports.
 //!
 //! Everything in this module measures *host* time (`std::time::Instant`)
-//! and therefore varies run to run. It feeds the `BENCH_*.json` perf
-//! reports the CI trajectory tracks — events/sec, per-experiment and
-//! per-sweep-job wall time — and must never leak into a metrics or trace
-//! export, which are required to be bit-identical across repeats.
+//! and therefore varies run to run. It must never leak into a metrics or
+//! trace export, which are required to be bit-identical across repeats;
+//! host-time tables (the benchmark's per-layer rows) belong here.
 
 use std::time::Instant;
 
@@ -32,252 +31,6 @@ impl Default for Stopwatch {
     }
 }
 
-/// One profiled sweep job (a single simulation run).
-#[derive(Debug, Clone)]
-pub struct BenchJob {
-    /// Job label (e.g. the experiment row it produced).
-    pub label: String,
-    /// Wall time, seconds.
-    pub wall_s: f64,
-    /// Simulation events dispatched during the run (0 if unknown).
-    pub sim_events: u64,
-    /// Mean client energy saved, percent — only recorded by stages whose
-    /// point is an energy comparison (the per-policy rows); omitted from
-    /// the JSON otherwise. Unlike wall time this *is* deterministic.
-    pub saved_pct: Option<f64>,
-}
-
-impl BenchJob {
-    /// A plain timing job (no energy figure).
-    pub fn new(label: String, wall_s: f64, sim_events: u64) -> BenchJob {
-        BenchJob { label, wall_s, sim_events, saved_pct: None }
-    }
-}
-
-/// One profiled stage (an experiment, a sweep, or a pipeline step).
-#[derive(Debug, Clone)]
-pub struct BenchStage {
-    /// Stage name.
-    pub name: String,
-    /// Wall time for the whole stage, seconds.
-    pub wall_s: f64,
-    /// Worker threads the stage ran with (1 for inline stages).
-    pub threads: usize,
-    /// Total simulation events dispatched across the stage's runs.
-    pub sim_events: u64,
-    /// Per-job profiles, in input order.
-    pub jobs: Vec<BenchJob>,
-}
-
-impl BenchStage {
-    /// Simulation events processed per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.sim_events as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-}
-
-/// A whole perf report (`BENCH_pr5.json`).
-#[derive(Debug, Clone, Default)]
-pub struct BenchReport {
-    /// Report label.
-    pub name: String,
-    /// Profiled stages, in execution order.
-    pub stages: Vec<BenchStage>,
-}
-
-impl BenchReport {
-    /// A new, empty report.
-    pub fn new(name: &str) -> Self {
-        BenchReport { name: name.to_string(), stages: Vec::new() }
-    }
-
-    /// Total wall time across stages, seconds.
-    pub fn total_wall_s(&self) -> f64 {
-        self.stages.iter().map(|s| s.wall_s).sum()
-    }
-
-    /// Total simulation events across stages.
-    pub fn total_events(&self) -> u64 {
-        self.stages.iter().map(|s| s.sim_events).sum()
-    }
-
-    /// Render as JSON. Floats use fixed 6-decimal formatting; this report
-    /// is wall-clock data and is *not* expected to be deterministic.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str(&format!(
-            "{{\"report\":\"{}\",\"total_wall_s\":{:.6},\"total_sim_events\":{},\"stages\":[",
-            self.name,
-            self.total_wall_s(),
-            self.total_events()
-        ));
-        for (i, st) in self.stages.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":\"{}\",\"wall_s\":{:.6},\"threads\":{},\"sim_events\":{},\
-                 \"events_per_sec\":{:.1},\"jobs\":[",
-                st.name,
-                st.wall_s,
-                st.threads,
-                st.sim_events,
-                st.events_per_sec()
-            ));
-            for (j, job) in st.jobs.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"label\":\"{}\",\"wall_s\":{:.6},\"sim_events\":{}",
-                    job.label, job.wall_s, job.sim_events
-                ));
-                if let Some(p) = job.saved_pct {
-                    s.push_str(&format!(",\"saved_pct\":{p:.2}"));
-                }
-                s.push('}');
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Fold another measurement of the same suite into this report,
-    /// keeping whichever run of each stage was faster (stage-wise minimum
-    /// wall time — the least-noise estimator on a shared runner). Stages
-    /// present only in `other` are appended. The simulator is
-    /// deterministic, so repeats of one stage must agree on `sim_events`;
-    /// a mismatch means the reports are from different suites and that
-    /// stage is left untouched.
-    pub fn keep_best(&mut self, other: BenchReport) {
-        for st in other.stages {
-            match self.stages.iter_mut().find(|s| s.name == st.name) {
-                Some(mine) if mine.sim_events == st.sim_events => {
-                    if st.wall_s < mine.wall_s {
-                        *mine = st;
-                    }
-                }
-                Some(_) => {}
-                None => self.stages.push(st),
-            }
-        }
-    }
-}
-
-/// One stage's figures as scanned back out of a rendered report:
-/// throughput for comparisons, wall time for judging whether the
-/// throughput figure is trustworthy at all.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageRate {
-    /// Stage name.
-    pub name: String,
-    /// Stage wall time, seconds.
-    pub wall_s: f64,
-    /// Stage throughput, simulated events per wall second.
-    pub rate: f64,
-}
-
-/// Stages completing faster than this measure scheduler jitter and timer
-/// granularity more than throughput: a sub-5 ms stage routinely swings
-/// ±30% run to run on a shared CI runner. [`regressions`] refuses to gate
-/// on a stage whose *baseline or current* wall time is below this floor
-/// (the comparison still shows up in [`delta_lines`], just can't fail the
-/// build).
-pub const MIN_GATE_WALL_S: f64 = 0.05;
-
-/// Stages of `current` that regressed more than `threshold_pct` percent
-/// below `baseline` (both from [`parse_stage_rates`]), one formatted line
-/// per offender. Empty when everything is within the threshold — the
-/// gating form of [`delta_lines`]. Stages too short to time reliably
-/// (either side under [`MIN_GATE_WALL_S`]) never gate.
-pub fn regressions(
-    current: &[StageRate],
-    baseline: &[StageRate],
-    threshold_pct: f64,
-) -> Vec<String> {
-    current
-        .iter()
-        .filter_map(|st| {
-            let base = baseline.iter().find(|b| b.name == st.name)?;
-            if base.rate <= 0.0 || st.wall_s < MIN_GATE_WALL_S || base.wall_s < MIN_GATE_WALL_S {
-                return None;
-            }
-            let pct = (st.rate - base.rate) / base.rate * 100.0;
-            if pct < -threshold_pct {
-                Some(format!(
-                    "{:<18} {:>12.0} events/s  vs baseline {:>12.0}  \
-                     ({pct:+.1}% < -{threshold_pct:.1}%)",
-                    st.name, st.rate, base.rate
-                ))
-            } else {
-                None
-            }
-        })
-        .collect()
-}
-
-/// Extract each stage's name, wall time, and events/sec from a rendered
-/// [`BenchReport::to_json`] string.
-///
-/// A deliberately tiny scanner rather than a JSON dependency: stage
-/// objects are the only places the report writes a `"name"` key (jobs use
-/// `"label"`), and each stage's `"wall_s"` and `"events_per_sec"` follow
-/// its `"name"` in emission order. Returns an empty vec for input that
-/// doesn't look like a bench report.
-pub fn parse_stage_rates(json: &str) -> Vec<StageRate> {
-    fn number(rest: &mut &str, key: &str) -> Option<f64> {
-        let p = rest.find(key)?;
-        *rest = &rest[p + key.len()..];
-        let num_end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-            .unwrap_or(rest.len());
-        let v = rest[..num_end].parse::<f64>().ok();
-        *rest = &rest[num_end..];
-        v
-    }
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(p) = rest.find("\"name\":\"") {
-        rest = &rest[p + 8..];
-        let Some(end) = rest.find('"') else { break };
-        let name = rest[..end].to_string();
-        rest = &rest[end..];
-        let Some(wall_s) = number(&mut rest, "\"wall_s\":") else { break };
-        let Some(rate) = number(&mut rest, "\"events_per_sec\":") else { break };
-        out.push(StageRate { name, wall_s, rate });
-    }
-    out
-}
-
-/// Render a report-only comparison of `current` against `baseline`
-/// events/sec figures (both from [`parse_stage_rates`]), one line per
-/// stage present in `current`.
-pub fn delta_lines(current: &[StageRate], baseline: &[StageRate]) -> Vec<String> {
-    current
-        .iter()
-        .map(|st| match baseline.iter().find(|b| b.name == st.name) {
-            Some(base) if base.rate > 0.0 => {
-                let pct = (st.rate - base.rate) / base.rate * 100.0;
-                let noise = if st.wall_s < MIN_GATE_WALL_S || base.wall_s < MIN_GATE_WALL_S {
-                    "  [sub-floor wall time; not gated]"
-                } else {
-                    ""
-                };
-                format!(
-                    "{:<18} {:>12.0} events/s  vs baseline {:>12.0}  ({pct:+.1}%){noise}",
-                    st.name, st.rate, base.rate
-                )
-            }
-            _ => format!("{:<18} {:>12.0} events/s  (no baseline stage)", st.name, st.rate),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,170 +39,5 @@ mod tests {
     fn stopwatch_measures_nonnegative_time() {
         let sw = Stopwatch::start();
         assert!(sw.elapsed_s() >= 0.0);
-    }
-
-    #[test]
-    fn report_totals_and_json() {
-        let mut r = BenchReport::new("pr3");
-        r.stages.push(BenchStage {
-            name: "fig4".into(),
-            wall_s: 2.0,
-            threads: 4,
-            sim_events: 1_000,
-            jobs: vec![BenchJob::new("i100".into(), 0.5, 250)],
-        });
-        r.stages.push(BenchStage {
-            name: "instrumented".into(),
-            wall_s: 1.0,
-            threads: 1,
-            sim_events: 500,
-            jobs: Vec::new(),
-        });
-        assert!((r.total_wall_s() - 3.0).abs() < 1e-9);
-        assert_eq!(r.total_events(), 1_500);
-        let j = r.to_json();
-        assert!(j.starts_with("{\"report\":\"pr3\""));
-        assert!(j.contains("\"events_per_sec\":500.0"));
-        assert!(j.contains("\"label\":\"i100\""));
-        assert!(j.ends_with("]}"));
-    }
-
-    #[test]
-    fn stage_rates_round_trip_through_json() {
-        let mut r = BenchReport::new("pr5");
-        for (name, events) in [("video", 4_000u64), ("web", 2_000)] {
-            r.stages.push(BenchStage {
-                name: name.into(),
-                wall_s: 2.0,
-                threads: 1,
-                sim_events: events,
-                jobs: vec![BenchJob::new("job".into(), 2.0, events)],
-            });
-        }
-        let rates = parse_stage_rates(&r.to_json());
-        assert_eq!(rates.len(), 2, "one rate per stage, job labels ignored");
-        assert_eq!(rates[0].name, "video");
-        assert!((rates[0].wall_s - 2.0).abs() < 1e-6);
-        assert!((rates[0].rate - 2_000.0).abs() < 1e-6);
-        assert_eq!(rates[1].name, "web");
-        assert!((rates[1].rate - 1_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn saved_pct_is_emitted_only_when_present() {
-        let mut r = BenchReport::new("pr7");
-        r.stages.push(BenchStage {
-            name: "policy".into(),
-            wall_s: 1.0,
-            threads: 1,
-            sim_events: 100,
-            jobs: vec![
-                BenchJob::new("plain".into(), 0.5, 50),
-                BenchJob { saved_pct: Some(61.25), ..BenchJob::new("energy".into(), 0.5, 50) },
-            ],
-        });
-        let j = r.to_json();
-        assert!(
-            j.contains(
-                "\"label\":\"energy\",\"wall_s\":0.500000,\"sim_events\":50,\"saved_pct\":61.25}"
-            ),
-            "json: {j}"
-        );
-        assert!(
-            j.contains("\"label\":\"plain\",\"wall_s\":0.500000,\"sim_events\":50}"),
-            "json: {j}"
-        );
-        // The stage-rate scanner ignores the new key.
-        let rates = parse_stage_rates(&j);
-        assert_eq!(rates.len(), 1);
-        assert_eq!(rates[0].name, "policy");
-    }
-
-    #[test]
-    fn parse_stage_rates_tolerates_garbage() {
-        assert!(parse_stage_rates("").is_empty());
-        assert!(parse_stage_rates("not json at all").is_empty());
-        assert!(parse_stage_rates("{\"name\":\"x\"").is_empty());
-    }
-
-    fn rate(name: &str, wall_s: f64, rate: f64) -> StageRate {
-        StageRate { name: name.into(), wall_s, rate }
-    }
-
-    #[test]
-    fn delta_lines_report_relative_change() {
-        let cur = vec![rate("video", 2.0, 1_500.0), rate("new", 2.0, 10.0)];
-        let base = vec![rate("video", 2.0, 1_000.0)];
-        let lines = delta_lines(&cur, &base);
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("+50.0%"), "line: {}", lines[0]);
-        assert!(!lines[0].contains("not gated"), "line: {}", lines[0]);
-        assert!(lines[1].contains("no baseline stage"), "line: {}", lines[1]);
-    }
-
-    #[test]
-    fn delta_lines_flag_sub_floor_stages() {
-        let cur = vec![rate("smoke", 0.004, 900.0)];
-        let base = vec![rate("smoke", 0.004, 1_000.0)];
-        let lines = delta_lines(&cur, &base);
-        assert!(lines[0].contains("[sub-floor wall time; not gated]"), "line: {}", lines[0]);
-    }
-
-    #[test]
-    fn regressions_gate_only_past_threshold() {
-        let base = vec![rate("video", 2.0, 1_000.0), rate("web", 2.0, 1_000.0)];
-        // -4% survives a 5% threshold, -20% does not; unknown stages pass.
-        let cur = vec![rate("video", 2.0, 960.0), rate("web", 2.0, 800.0), rate("new", 2.0, 1.0)];
-        let offenders = regressions(&cur, &base, 5.0);
-        assert_eq!(offenders.len(), 1, "offenders: {offenders:?}");
-        assert!(offenders[0].contains("web"), "line: {}", offenders[0]);
-        assert!(regressions(&cur, &base, 25.0).is_empty());
-    }
-
-    #[test]
-    fn regressions_never_gate_on_sub_floor_wall_times() {
-        // A 4 ms stage showing -40% is timer noise, not a regression; the
-        // floor silences it whether the short side is current or baseline.
-        let base = vec![rate("smoke", 0.004, 1_000.0), rate("video", 2.0, 1_000.0)];
-        let cur = vec![rate("smoke", 0.004, 600.0), rate("video", 2.0, 500.0)];
-        let offenders = regressions(&cur, &base, 5.0);
-        assert_eq!(offenders.len(), 1, "only the long stage gates: {offenders:?}");
-        assert!(offenders[0].contains("video"));
-        let base = vec![rate("x", 1.0, 1_000.0)];
-        let cur = vec![rate("x", 0.01, 600.0)];
-        assert!(regressions(&cur, &base, 5.0).is_empty(), "short current side also exempt");
-    }
-
-    fn stage(name: &str, wall_s: f64, sim_events: u64) -> BenchStage {
-        BenchStage { name: name.into(), wall_s, threads: 1, sim_events, jobs: Vec::new() }
-    }
-
-    #[test]
-    fn keep_best_takes_stagewise_minimum() {
-        let mut a = BenchReport::new("pr6");
-        a.stages.push(stage("video", 2.0, 1_000));
-        a.stages.push(stage("web", 1.0, 500));
-        let mut b = BenchReport::new("pr6");
-        b.stages.push(stage("video", 1.5, 1_000)); // faster: adopted
-        b.stages.push(stage("web", 3.0, 500)); // slower: ignored
-        b.stages.push(stage("mix", 1.0, 200)); // new: appended
-        b.stages.push(stage("video", 0.1, 999)); // event mismatch: ignored
-        a.keep_best(b);
-        assert_eq!(a.stages.len(), 3);
-        assert!((a.stages[0].wall_s - 1.5).abs() < 1e-9);
-        assert!((a.stages[1].wall_s - 1.0).abs() < 1e-9);
-        assert_eq!(a.stages[2].name, "mix");
-    }
-
-    #[test]
-    fn empty_stage_rate_is_zero() {
-        let st = BenchStage {
-            name: "x".into(),
-            wall_s: 0.0,
-            threads: 1,
-            sim_events: 0,
-            jobs: Vec::new(),
-        };
-        assert_eq!(st.events_per_sec(), 0.0);
     }
 }

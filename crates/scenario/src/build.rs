@@ -26,7 +26,7 @@ use powerburst_traffic::{
 };
 use powerburst_transport::TcpConfig;
 
-use crate::config::{ClientKind, RadioMode, ScenarioConfig};
+use crate::config::{ClientKind, RadioMode, ScenarioConfig, MAX_OCCUPIED_CELLS};
 use crate::results::{
     AppMetrics, ClientResult, FtpSummary, LiveSummary, ScenarioResult, WebSummary,
 };
@@ -134,11 +134,12 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         rank_of_cell[c] = r;
     }
     // Switch ifaces: 0 video, 1 byte, 2+r per shard, one more for the
-    // coordinator. IfaceId is a u8, which caps the fan-out at 253 cells.
+    // coordinator.
+    let occupied = cfg.occupied_cells();
+    debug_assert_eq!(occupied, realized.len());
     assert!(
-        2 + realized.len() + usize::from(multi) <= u8::MAX as usize + 1,
-        "too many occupied cells for the switch's u8 iface space: {}",
-        realized.len()
+        occupied <= MAX_OCCUPIED_CELLS,
+        "{occupied} occupied cells exceed the switch's limit of {MAX_OCCUPIED_CELLS}"
     );
 
     // One recorder per run: sweep jobs never share observability state, so

@@ -221,8 +221,8 @@ pub struct ScenarioConfig {
     /// `None` grants every cell its full interval (non-overlapping
     /// channels). Ignored in 1-cell worlds, which have no coordinator.
     pub coord_pool_permille: Option<u32>,
-    /// Worker threads for the sharded event core (`0`, the default, reads
-    /// `PB_THREADS` / available parallelism). Thread count never changes
+    /// Worker threads for the sharded event core (`0`, the default, takes
+    /// the available parallelism). Thread count never changes
     /// any simulated result — the conservative-lookahead engine is
     /// byte-identical at every thread count (see the determinism matrix
     /// test) — and 1-cell worlds, being one shard, always run on one.
@@ -266,7 +266,7 @@ impl ScenarioConfig {
         }
     }
 
-    /// Shorten the run (tests and smoke benches).
+    /// Shorten the run (tests, smoke runs and benchmark workloads).
     pub fn with_duration(mut self, d: SimDuration) -> ScenarioConfig {
         self.duration = d;
         self
@@ -325,7 +325,23 @@ impl ScenarioConfig {
             None => i % self.cells.max(1),
         }
     }
+
+    /// Cells that get an AP + proxy shard: those holding at least one
+    /// client, or the single paper cell when there are no clients. The
+    /// builder accepts at most [`MAX_OCCUPIED_CELLS`] of them.
+    pub fn occupied_cells(&self) -> usize {
+        let mut occupied = vec![false; self.cells.max(1)];
+        for i in 0..self.clients.len() {
+            occupied[self.cell_of(i)] = true;
+        }
+        occupied.iter().filter(|&&o| o).count().max(1)
+    }
 }
+
+/// Most occupied cells one world can hold. The wired switch numbers its
+/// ports with a `u8` iface id: 0 video, 1 byte, one per cell, and one for
+/// the coordinator.
+pub const MAX_OCCUPIED_CELLS: usize = u8::MAX as usize + 1 - 3;
 
 /// The paper's five Figure-4 access patterns for ten video clients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -3,25 +3,23 @@
 //! Each function builds the configurations, fans them across cores with
 //! [`powerburst_sim::parallel_sweep`], and returns structured rows plus a
 //! `render_*` companion that prints the same rows/series the paper reports.
-//! The bench harnesses in `powerburst-bench` are thin wrappers over these;
-//! the integration tests call them with shortened durations.
+//! `powerburst experiment <name>` runs and renders them; the integration
+//! tests call them with shortened durations.
 
 use std::sync::Mutex;
 
 use powerburst_core::{PolicyKind, ProxyMode, DEFAULT_TARGET_BUFFER};
 use powerburst_energy::{optimal_savings_for_rate, CardSpec};
 use powerburst_net::PipeSpec;
-use powerburst_obs::{BenchJob, BenchReport, BenchStage, Stopwatch};
-use powerburst_sim::{default_threads, parallel_sweep, parallel_sweep_timed, SimDuration, Summary};
+use powerburst_sim::{default_threads, parallel_sweep, SimDuration, Summary};
 use powerburst_traffic::{Fidelity, WebScriptConfig};
 
-use crate::build::{assemble, run_scenario};
+use crate::build::run_scenario;
 use crate::calibrate::{calibrate, Calibration, DEFAULT_SIZES};
 use crate::config::{
-    ClientKind, ClientSpec, NetworkConfig, ObsConfig, RadioMode, ScenarioConfig, VideoPattern,
+    ClientKind, ClientSpec, NetworkConfig, RadioMode, ScenarioConfig, VideoPattern,
 };
 use crate::report::{banner, fmt_summary, Table};
-use crate::results::ScenarioResult;
 
 /// Common experiment options.
 #[derive(Debug, Clone, Copy)]
@@ -37,13 +35,6 @@ pub struct ExpOptions {
 impl Default for ExpOptions {
     fn default() -> Self {
         ExpOptions { seed: 7, duration: SimDuration::from_secs(119), threads: default_threads() }
-    }
-}
-
-impl ExpOptions {
-    /// Short runs for tests/smoke benches.
-    pub fn quick() -> ExpOptions {
-        ExpOptions { duration: SimDuration::from_secs(25), ..ExpOptions::default() }
     }
 }
 
@@ -107,16 +98,6 @@ pub fn city_cfg(seed: u64, n: usize, duration: SimDuration) -> ScenarioConfig {
     .with_cells(n.div_ceil(64));
     cfg.stagger = SimDuration::from_us(50);
     cfg
-}
-
-/// Run a configuration on the light path — assemble + run, skipping the
-/// O(clients × trace) postmortem that full result collection performs —
-/// and return the events processed. City-scale stages measure the
-/// simulator with this, not the analyzer.
-pub fn light_events(cfg: &ScenarioConfig) -> u64 {
-    let mut a = assemble(cfg);
-    a.world.run_until(powerburst_sim::SimTime::ZERO + cfg.duration);
-    a.world.events_processed()
 }
 
 fn web_spec() -> ClientSpec {
@@ -1274,8 +1255,8 @@ pub fn render_admission(rows: &[AdmissionRow]) -> String {
 // A7 — scheduling-policy A/B: fixed / variable / channel / buffer.
 // ---------------------------------------------------------------------------
 
-/// The four pluggable slot allocators compared by the A/B experiment and
-/// the per-policy bench stages, at the paper's 100 ms cadence.
+/// The four pluggable slot allocators compared by the A/B experiment, at
+/// the paper's 100 ms cadence.
 pub const POLICY_AB: [(&str, PolicyKind); 4] = [
     ("fixed", PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) }),
     (
@@ -1437,234 +1418,4 @@ pub fn run_all(opt: &ExpOptions) -> String {
     push(render_policy_ab(&ab_policy_comparison(opt)));
     push(render_bandwidth_model(&tab_bandwidth_model(opt)));
     out.into_inner().expect("experiment output poisoned")
-}
-
-// ---------------------------------------------------------------------------
-// Perf profiling — the BENCH_pr10.json report.
-// ---------------------------------------------------------------------------
-
-/// The named single-run throughput scenarios of the bench suite. Each
-/// becomes its own [`BenchStage`] whose `events_per_sec` is the
-/// first-class throughput figure the CI trajectory tracks.
-pub const BENCH_SCENARIOS: [&str; 4] = ["video", "web", "mix", "faulted"];
-
-/// Build one named throughput scenario (see [`BENCH_SCENARIOS`]).
-fn bench_scenario(name: &str, opt: &ExpOptions) -> ScenarioConfig {
-    let policy = PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) };
-    let cfg = match name {
-        // Figure 4's densest row: ten streaming clients.
-        "video" => ScenarioConfig::new(opt.seed, policy, video_clients(VideoPattern::All56, 10)),
-        // §4.2: ten TCP web clients exercising the splice path.
-        "web" => {
-            let clients = (0..10)
-                .map(|_| ClientSpec::new(ClientKind::Web { script: WebScriptConfig::default() }))
-                .collect();
-            ScenarioConfig::new(opt.seed, policy, clients)
-        }
-        // Figure 5's blend: seven video + three web clients.
-        "mix" => {
-            let mut clients = video_clients(VideoPattern::All56, 7);
-            for _ in 0..3 {
-                clients
-                    .push(ClientSpec::new(ClientKind::Web { script: WebScriptConfig::default() }));
-            }
-            ScenarioConfig::new(opt.seed, policy, clients)
-        }
-        // The golden faulted mix: loss + dup + reorder + SRP drops +
-        // AP jitter + clock skew, all drawn from dedicated fault streams.
-        "faulted" => {
-            let mut cfg =
-                ScenarioConfig::new(opt.seed, policy, video_clients(VideoPattern::All56, 10));
-            cfg.faults = powerburst_net::FaultPlan {
-                loss_prob: 0.05,
-                dup_prob: 0.01,
-                reorder_prob: 0.02,
-                reorder_max: SimDuration::from_ms(5),
-                sched_drop_prob: 0.02,
-                ap_jitter_prob: 0.2,
-                ap_jitter_max: SimDuration::from_ms(10),
-                clock_skew_ppm: 40.0,
-            };
-            cfg
-        }
-        other => unreachable!("unknown bench scenario {other}"),
-    };
-    cfg.with_duration(opt.duration)
-}
-
-/// Profile the full hot-path bench suite: the Figure-4 sweep, the four
-/// named throughput scenarios, and one fully instrumented run.
-///
-/// Stage 1 fans the fifteen Figure-4 configurations across
-/// [`parallel_sweep_timed`] workers with observability **off** (the
-/// production-speed baseline) and records per-job wall time and simulation
-/// event counts. Stages 2–5 run each [`BENCH_SCENARIOS`] scenario inline
-/// on one thread, so their events/sec figures are single-run throughput
-/// numbers unperturbed by sweep scheduling. The final stage runs one
-/// scenario with metrics and the event channel **on**, both to time the
-/// instrumented path and to produce an observability export for CI
-/// artifacts.
-///
-/// Returns the wall-clock report (non-deterministic by nature) and the
-/// instrumented run's full result (whose `obs` export *is* deterministic).
-pub fn bench_suite(opt: &ExpOptions) -> (BenchReport, ScenarioResult) {
-    let patterns = [
-        VideoPattern::All56,
-        VideoPattern::All256,
-        VideoPattern::All512,
-        VideoPattern::Half56Half512,
-        VideoPattern::Mixed,
-    ];
-    let mut configs = Vec::new();
-    for (iname, ikind) in INTERVALS {
-        for p in patterns {
-            let cfg = ScenarioConfig::new(opt.seed, ikind.policy(), video_clients(p, 10))
-                .with_duration(opt.duration);
-            configs.push((iname, p, cfg));
-        }
-    }
-    let labels: Vec<String> =
-        configs.iter().map(|(iname, p, _)| format!("{iname}/{}", p.label())).collect();
-    let (events, timing) =
-        parallel_sweep_timed(configs, opt.threads, |(_, _, cfg)| run_scenario(cfg).sim_events);
-    let jobs: Vec<BenchJob> = labels
-        .into_iter()
-        .zip(events.iter().zip(timing.job_wall_s.iter()))
-        .map(|(label, (&sim_events, &wall_s))| BenchJob::new(label, wall_s, sim_events))
-        .collect();
-    let sweep_stage = BenchStage {
-        name: "fig4-sweep".to_string(),
-        wall_s: timing.wall_s,
-        threads: timing.threads,
-        sim_events: events.iter().sum(),
-        jobs,
-    };
-
-    let mut report = BenchReport::new("pr10");
-    report.stages.push(sweep_stage);
-
-    // Per-scenario throughput: one single-threaded run per named scenario.
-    for name in BENCH_SCENARIOS {
-        let cfg = bench_scenario(name, opt);
-        let sw = Stopwatch::start();
-        let r = run_scenario(&cfg);
-        let wall_s = sw.elapsed_s();
-        report.stages.push(BenchStage {
-            name: name.to_string(),
-            wall_s,
-            threads: 1,
-            sim_events: r.sim_events,
-            jobs: vec![BenchJob::new(format!("{name}/100ms"), wall_s, r.sim_events)],
-        });
-    }
-
-    // Per-policy throughput + energy: each pluggable allocator over the
-    // Figure-5 blend, single-threaded. The `saved_pct` figure is the
-    // deterministic half of each row; events/sec tracks what the extra
-    // policy inputs (channel model, buffer snooping) cost the hot path.
-    for (pname, policy) in POLICY_AB {
-        let mut clients = video_clients(VideoPattern::All56, 7);
-        for _ in 0..3 {
-            clients.push(ClientSpec::new(ClientKind::Web { script: WebScriptConfig::default() }));
-        }
-        let cfg = ScenarioConfig::new(opt.seed, policy, clients).with_duration(opt.duration);
-        let sw = Stopwatch::start();
-        let r = run_scenario(&cfg);
-        let wall_s = sw.elapsed_s();
-        report.stages.push(BenchStage {
-            name: format!("policy-{pname}"),
-            wall_s,
-            threads: 1,
-            sim_events: r.sim_events,
-            jobs: vec![BenchJob {
-                saved_pct: Some(r.saved_all().mean),
-                ..BenchJob::new(format!("{pname}/mix"), wall_s, r.sim_events)
-            }],
-        });
-    }
-
-    // City-scale (multi-cell): events/sec as the client population grows
-    // at 64 clients/cell, plus a 10 000-client smoke. These stages use the
-    // light path (assemble + run, no postmortem) so they measure the
-    // simulator, not the per-client analyzer.
-    let mut scaling_jobs = Vec::new();
-    let mut scaling_events = 0u64;
-    let scaling_sw = Stopwatch::start();
-    for n in [64usize, 256, 1024] {
-        let cfg = city_cfg(opt.seed, n, SimDuration::from_secs(2));
-        let sw = Stopwatch::start();
-        let ev = light_events(&cfg);
-        scaling_events += ev;
-        scaling_jobs.push(BenchJob::new(format!("c{n}"), sw.elapsed_s(), ev));
-    }
-    report.stages.push(BenchStage {
-        name: "scaling-cells".to_string(),
-        wall_s: scaling_sw.elapsed_s(),
-        threads: 1,
-        sim_events: scaling_events,
-        jobs: scaling_jobs,
-    });
-
-    let cfg = city_cfg(opt.seed, 10_000, SimDuration::from_secs(1));
-    let cells = cfg.cells;
-    let sw = Stopwatch::start();
-    let ev = light_events(&cfg);
-    let wall_s = sw.elapsed_s();
-    report.stages.push(BenchStage {
-        name: "smoke-10k".to_string(),
-        wall_s,
-        threads: 1,
-        sim_events: ev,
-        jobs: vec![BenchJob::new(format!("10000c/{cells}cells"), wall_s, ev)],
-    });
-
-    // Threads-scaling: the same 10 000-client smoke on the sharded core at
-    // 1/2/4/8 worker threads. The workload is byte-identical at every row
-    // (the core's determinism contract), so only wall time moves; each
-    // job's label carries its speedup over the 1-thread row, and the
-    // per-job events/sec follows from wall_s + sim_events as usual.
-    let ts_sw = Stopwatch::start();
-    let mut ts_rows = Vec::new();
-    for t in [1usize, 2, 4, 8] {
-        let cfg = city_cfg(opt.seed, 10_000, SimDuration::from_secs(1)).with_threads(t);
-        let sw = Stopwatch::start();
-        let ev = light_events(&cfg);
-        ts_rows.push((t, sw.elapsed_s(), ev));
-    }
-    let base_wall = ts_rows[0].1;
-    report.stages.push(BenchStage {
-        name: "threads-scaling".to_string(),
-        wall_s: ts_sw.elapsed_s(),
-        threads: ts_rows.iter().map(|&(t, _, _)| t).max().unwrap_or(1),
-        sim_events: ts_rows.iter().map(|&(_, _, ev)| ev).sum(),
-        jobs: ts_rows
-            .into_iter()
-            .map(|(t, wall_s, ev)| {
-                let speedup = if wall_s > 0.0 { base_wall / wall_s } else { 0.0 };
-                BenchJob::new(format!("t{t}/x{speedup:.2}"), wall_s, ev)
-            })
-            .collect(),
-    });
-
-    // All56 rather than Mixed: the bench's instrumented run doubles as
-    // CI's fail-on-invariants gate, so it sticks to the best-understood
-    // pattern.
-    let icfg = ScenarioConfig::new(
-        opt.seed,
-        PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) },
-        video_clients(VideoPattern::All56, 10),
-    )
-    .with_duration(opt.duration)
-    .with_obs(ObsConfig::full());
-    let sw = Stopwatch::start();
-    let r = run_scenario(&icfg);
-    let wall_s = sw.elapsed_s();
-    report.stages.push(BenchStage {
-        name: "instrumented-run".to_string(),
-        wall_s,
-        threads: 1,
-        sim_events: r.sim_events,
-        jobs: vec![BenchJob::new("100ms/56k+obs".to_string(), wall_s, r.sim_events)],
-    });
-    (report, r)
 }

@@ -28,6 +28,7 @@ pub use build::{assemble, hosts, run_scenario, Assembled};
 pub use calibrate::{calibrate, Calibration, DEFAULT_SIZES};
 pub use config::{
     ClientKind, ClientSpec, NetworkConfig, ObsConfig, RadioMode, ScenarioConfig, VideoPattern,
+    MAX_OCCUPIED_CELLS,
 };
 pub use report::{banner, fmt_pct, fmt_summary, Table};
 pub use results::{AppMetrics, ClientResult, FtpSummary, LiveSummary, ScenarioResult, WebSummary};

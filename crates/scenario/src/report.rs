@@ -1,7 +1,7 @@
 //! Plain-text table rendering for experiment output.
 //!
-//! The bench harnesses print the same rows/series the paper's figures and
-//! tables report; these helpers keep the formatting consistent.
+//! `powerburst experiment` prints the same rows/series the paper's figures
+//! and tables report; these helpers keep the formatting consistent.
 
 use powerburst_sim::Summary;
 
@@ -66,7 +66,7 @@ pub fn fmt_pct(x: f64) -> String {
     format!("{x:5.1}%")
 }
 
-/// Section header for bench output.
+/// Section header for experiment output.
 pub fn banner(title: &str) -> String {
     let bar = "=".repeat(title.len().max(8) + 4);
     format!("{bar}\n  {title}\n{bar}\n")

@@ -6,11 +6,8 @@
 //!                [--live] [--psm] [--static] [--admission]
 //!                [--trace-out FILE] [--metrics-out FILE]
 //!                [--trace-events FILE] [--fail-on-invariants]
-//! powerburst bench [--secs S] [--seed K] [--threads N] [--repeat R]
-//!                  [--out FILE] [--metrics-out FILE] [--baseline FILE]
-//!                  [--fail-on-regression PCT]
 //! powerburst calibrate [--seed K]
-//! powerburst experiment <name>|all [--secs S] [--seed K]
+//! powerburst experiment <name>|all [--secs S] [--seed K] [--threads N]
 //! powerburst list
 //! ```
 //!
@@ -25,7 +22,7 @@ use std::process::ExitCode;
 use powerburst::prelude::*;
 use powerburst::scenario::experiments as exp;
 use powerburst::scenario::report::{fmt_summary, Table};
-use powerburst::scenario::NetworkConfig;
+use powerburst::scenario::{NetworkConfig, MAX_OCCUPIED_CELLS};
 use powerburst::trace::to_jsonl;
 
 fn main() -> ExitCode {
@@ -43,7 +40,6 @@ fn main() -> ExitCode {
     }
     let outcome = match cmd.as_str() {
         "run" => cmd_run(rest),
-        "bench" => cmd_bench(rest),
         "calibrate" => cmd_calibrate(rest),
         "experiment" => cmd_experiment(rest),
         "list" => Flags::new(rest, &[], &[]).map(|_| {
@@ -77,12 +73,8 @@ USAGE:
                  [--fault-reorder-ms M] [--fault-sched-drop P]
                  [--fault-jitter-ms M] [--fault-jitter-prob P]
                  [--fault-skew-ppm X]
-  powerburst bench [--secs S] [--seed K] [--threads N] [--repeat R]
-                   [--out FILE] [--metrics-out FILE] [--trace-events FILE]
-                   [--baseline FILE] [--fail-on-invariants]
-                   [--fail-on-regression PCT]
   powerburst calibrate [--seed K]
-  powerburst experiment <name>|all [--secs S] [--seed K]
+  powerburst experiment <name>|all [--secs S] [--seed K] [--threads N]
   powerburst list
   powerburst <command> --help";
 
@@ -232,7 +224,14 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     if cells > 1 {
         cfg = cfg.with_cells(cells);
     }
-    // Worker threads for the sharded event core (0 = PB_THREADS/auto).
+    let occupied = cfg.occupied_cells();
+    if occupied > MAX_OCCUPIED_CELLS {
+        return Err(format!(
+            "--cells {cells} puts clients in {occupied} cells; a world holds at most \
+             {MAX_OCCUPIED_CELLS} occupied cells"
+        ));
+    }
+    // Worker threads for the sharded event core (0 = auto).
     // Outputs are byte-identical at every value; single-cell worlds
     // always run sequentially regardless.
     cfg = cfg.with_threads(f.parse("--threads", 0)?);
@@ -374,106 +373,6 @@ fn write_obs_exports(
     Ok(())
 }
 
-fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
-    let f = Flags::new(
-        args,
-        &[
-            "--secs",
-            "--seed",
-            "--threads",
-            "--repeat",
-            "--out",
-            "--metrics-out",
-            "--trace-events",
-            "--baseline",
-            "--fail-on-regression",
-        ],
-        &["--fail-on-invariants"],
-    )?;
-    let opt = exp::ExpOptions {
-        duration: SimDuration::from_secs(f.parse("--secs", 25)?),
-        seed: f.parse("--seed", 7)?,
-        threads: f.parse("--threads", powerburst::sim::default_threads())?,
-    };
-    let repeat: usize = f.parse("--repeat", 1)?.max(1);
-    let fail_on_regression: Option<f64> = f.opt("--fail-on-regression")?;
-    eprintln!(
-        "profiling fig4 sweep + {} scenarios + instrumented run ({} s, seed {}, {} threads, {} repeat(s))...",
-        exp::BENCH_SCENARIOS.len(),
-        opt.duration.as_secs_f64(),
-        opt.seed,
-        opt.threads,
-        repeat,
-    );
-    // Repeats fold stage-wise: each stage keeps its fastest run, the
-    // minimum being the least-noise wall-clock estimator on a shared
-    // machine. Simulation outputs are deterministic, so only wall time
-    // differs between repeats.
-    let (mut report, r) = exp::bench_suite(&opt);
-    for _ in 1..repeat {
-        let (again, _) = exp::bench_suite(&opt);
-        report.keep_best(again);
-    }
-    let out = f.get("--out").unwrap_or("BENCH_pr10.json");
-    if let Err(e) = std::fs::write(out, report.to_json()) {
-        eprintln!("cannot write {out}: {e}");
-        return Ok(ExitCode::FAILURE);
-    }
-    for st in &report.stages {
-        println!(
-            "{:<18} {:>8.2}s  {:>12} events  {:>12.0} events/s  ({} jobs, {} threads)",
-            st.name,
-            st.wall_s,
-            st.sim_events,
-            st.events_per_sec(),
-            st.jobs.len(),
-            st.threads,
-        );
-    }
-    println!("bench report -> {out}");
-    if let Some(base_path) = f.get("--baseline") {
-        // Comparison against a committed baseline report. Report-only by
-        // default (runners are noisy); `--fail-on-regression <pct>` turns
-        // any stage slower than the threshold into a hard failure — pair
-        // it with `--repeat` and a forgiving percentage to keep the gate
-        // meaningful on shared machines.
-        match std::fs::read_to_string(base_path) {
-            Ok(base_json) => {
-                let current = powerburst::obs::parse_stage_rates(&report.to_json());
-                let baseline = powerburst::obs::parse_stage_rates(&base_json);
-                println!("events/sec vs baseline {base_path}:");
-                for line in powerburst::obs::delta_lines(&current, &baseline) {
-                    println!("  {line}");
-                }
-                if let Some(threshold) = fail_on_regression {
-                    let offenders = powerburst::obs::regressions(&current, &baseline, threshold);
-                    if !offenders.is_empty() {
-                        println!("regressions past -{threshold:.1}%:");
-                        for line in &offenders {
-                            println!("  {line}");
-                        }
-                        return Ok(ExitCode::FAILURE);
-                    }
-                    println!("no stage regressed past -{threshold:.1}%");
-                }
-            }
-            Err(e) => eprintln!("baseline {base_path} unreadable ({e}); skipping comparison"),
-        }
-    }
-    if let Err(code) = write_obs_exports(&r, f.get("--metrics-out"), f.get("--trace-events")) {
-        return Ok(code);
-    }
-    if !r.invariants.is_clean() {
-        println!("invariants: {} violation(s) in instrumented run", r.invariants.total());
-        if f.has("--fail-on-invariants") {
-            return Ok(ExitCode::FAILURE);
-        }
-    } else {
-        println!("invariants: clean");
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn cmd_calibrate(args: &[String]) -> Result<ExitCode, String> {
     let f = Flags::new(args, &["--seed"], &[])?;
     let seed: u64 = f.parse("--seed", 7)?;
@@ -509,11 +408,11 @@ const EXPERIMENTS: &[(&str, &str)] = &[
 
 fn cmd_experiment(args: &[String]) -> Result<ExitCode, String> {
     let name = args.first().ok_or("experiment name required; see `powerburst list`")?;
-    let f = Flags::new(&args[1..], &["--secs", "--seed"], &[])?;
+    let f = Flags::new(&args[1..], &["--secs", "--seed", "--threads"], &[])?;
     let opt = exp::ExpOptions {
         duration: SimDuration::from_secs(f.parse("--secs", 119)?),
         seed: f.parse("--seed", 7)?,
-        ..exp::ExpOptions::default()
+        threads: f.parse("--threads", powerburst::sim::default_threads())?,
     };
 
     let out = match name.as_str() {

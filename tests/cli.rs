@@ -1,12 +1,14 @@
-//! The CLI rejects bad input instead of guessing: unknown flags and
-//! unparseable values exit non-zero naming the flag, and `--help` on any
-//! subcommand prints the usage without running anything.
+//! The CLI rejects bad input instead of guessing: unknown flags,
+//! unparseable values and worlds past the cell cap exit non-zero naming
+//! the flag, and `--help` on any subcommand prints the usage without
+//! running anything.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
 /// Run the binary in a fresh scratch directory and report the files it
-/// left there, so a subcommand that writes (e.g. `bench`'s report) shows.
+/// left there, so a subcommand that writes (e.g. `run --metrics-out`'s
+/// export) shows.
 fn powerburst(args: &[&str]) -> (Output, Vec<PathBuf>) {
     let dir = std::env::temp_dir().join(format!(
         "powerburst-cli-{}-{}",
@@ -37,9 +39,9 @@ fn unparseable_values_are_rejected_naming_the_flag() {
         (&["run", "--clients", "abc"][..], "--clients"),
         (&["run", "--secs", "1", "--fault-loss", "lots"][..], "--fault-loss"),
         (&["run", "--stagger-ms", "-3"][..], "--stagger-ms"),
-        (&["bench", "--repeat", "x"][..], "--repeat"),
         (&["calibrate", "--seed", "7.5"][..], "--seed"),
         (&["experiment", "fig4", "--secs", "ten"][..], "--secs"),
+        (&["experiment", "fig4", "--threads", "x"][..], "invalid value `x` for --threads"),
     ] {
         let (o, _) = powerburst(args);
         assert_eq!(o.status.code(), Some(2), "{args:?}");
@@ -51,11 +53,15 @@ fn unparseable_values_are_rejected_naming_the_flag() {
 fn unknown_flags_and_missing_values_are_rejected() {
     for (args, needle) in [
         (&["run", "--clinets", "5"][..], "unknown flag `--clinets`"),
-        (&["bench", "--sec", "1"][..], "unknown flag `--sec`"),
         (&["experiment", "fig4", "--clients", "3"][..], "unknown flag `--clients`"),
         (&["list", "--all"][..], "unknown flag `--all`"),
         (&["run", "--secs"][..], "--secs needs a value"),
         (&["frobnicate"][..], "unknown command `frobnicate`"),
+        (&["bench"][..], "unknown command `bench`"),
+        (
+            &["run", "--cells", "300", "--clients", "600", "--secs", "1"][..],
+            "--cells 300 puts clients in 300 cells; a world holds at most 253 occupied cells",
+        ),
     ] {
         let (o, _) = powerburst(args);
         assert_eq!(o.status.code(), Some(2), "{args:?}");
@@ -69,7 +75,7 @@ fn help_prints_usage_and_runs_nothing() {
         &["--help"][..],
         &["run", "--help"][..],
         &["run", "--clients", "10", "-h"][..],
-        &["bench", "--help"][..],
+        &["run", "--metrics-out", "m.json", "--help"][..],
         &["calibrate", "-h"][..],
         &["experiment", "all", "--help"][..],
         &["list", "--help"][..],

@@ -7,10 +7,11 @@
 //! genuinely sharded multi-cell city at 1/2/4/8 worker threads and
 //! compares every export byte.
 //!
-//! Single-cell worlds build one shard and take the sequential fast path
-//! (their golden snapshots in `tests/golden/` are already the 1-thread
-//! reference, re-checked here at every thread count); the multi-cell
-//! configs are the ones that actually cross the epoch barriers.
+//! Single-cell worlds build one shard, so each epoch steps that shard
+//! alone on the caller thread (their golden snapshots in `tests/golden/`
+//! are already the 1-thread reference, re-checked here at every thread
+//! count); the multi-cell configs are the ones whose shards cross the
+//! epoch barriers on several workers.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
