@@ -244,7 +244,10 @@ impl PowerClient {
 
     fn handle_schedule(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
         let mut sched = std::mem::take(&mut self.decode_buf);
-        if !Schedule::decode_into(&pkt.payload, &mut sched) {
+        // Undecodable bytes and a decoded but malformed layout are both a
+        // schedule not received: the pending miss deadline takes the usual
+        // missed-schedule path, so a bad schedule never triggers a sleep.
+        if !Schedule::decode_into(&pkt.payload, &mut sched) || !sched.is_well_formed() {
             self.decode_buf = sched;
             return;
         }

@@ -28,6 +28,9 @@ struct ScriptedProxy {
     skip_broadcasts: Vec<u64>,
     /// Don't set the ToS mark on these burst sequence numbers.
     unmark_bursts: Vec<u64>,
+    /// Broadcast these sequence numbers with a layout that decodes but is
+    /// not well-formed.
+    malformed: Vec<(u64, Malformed)>,
     /// Flag schedules as unchanged (§5).
     flag_unchanged: bool,
     /// Stop all activity after this many intervals.
@@ -41,6 +44,7 @@ impl ScriptedProxy {
             seq: 0,
             skip_broadcasts: Vec::new(),
             unmark_bursts: Vec::new(),
+            malformed: Vec::new(),
             flag_unchanged: false,
             max_intervals: u64::MAX,
             bursts_sent: 0,
@@ -48,7 +52,7 @@ impl ScriptedProxy {
     }
 
     fn schedule(&self) -> Schedule {
-        Schedule {
+        let mut sched = Schedule {
             seq: self.seq,
             entries: vec![ScheduleEntry {
                 client: CLIENT,
@@ -59,8 +63,29 @@ impl ScriptedProxy {
             unchanged: self.flag_unchanged && self.seq > 0,
             fixed_slots: false,
             saturated: false,
+        };
+        match self.malformed.iter().find(|(seq, _)| *seq == self.seq) {
+            Some((_, Malformed::Overlap)) => sched.entries.push(ScheduleEntry {
+                client: HostAddr(101),
+                rp_offset: SimDuration::from_ms(8),
+                duration: SimDuration::from_ms(10),
+            }),
+            Some((_, Malformed::RpPastInterval)) => {
+                sched.entries[0].rp_offset = SimDuration::from_ms(INTERVAL_MS + 5);
+            }
+            None => {}
         }
+        sched
     }
+}
+
+/// Ways a scripted schedule can decode fine yet fail `is_well_formed`.
+#[derive(Clone, Copy)]
+enum Malformed {
+    /// A second slot starts inside the client's slot.
+    Overlap,
+    /// The client's rendezvous point lies past the next SRP.
+    RpPastInterval,
 }
 
 const T_SRP: TimerToken = 1;
@@ -183,6 +208,27 @@ fn skipped_broadcast_triggers_miss_recovery() {
     );
     // Recovery: later schedules were received and bursts resumed normally.
     assert!(pc.stats.schedules_received >= 45);
+    assert_eq!(stats.missed_frames, 0, "miss recovery kept the radio on");
+}
+
+#[test]
+fn malformed_schedules_count_as_missed_and_never_trigger_sleep() {
+    let mut proxy = ScriptedProxy::new();
+    proxy.malformed = vec![(20, Malformed::Overlap), (30, Malformed::RpPastInterval)];
+    let (mut world, c) = run(proxy, ClientConfig::new(CLIENT), 5);
+    let stats = *world.stats(c);
+    let pc = world.node_mut::<PowerClient>(c);
+    let malformed = (pc.stats.schedules_received, pc.stats.schedules_missed);
+
+    // The same two schedules never broadcast at all.
+    let mut proxy = ScriptedProxy::new();
+    proxy.skip_broadcasts = vec![20, 30];
+    let (mut world, c2) = run(proxy, ClientConfig::new(CLIENT), 5);
+    let pc = world.node_mut::<PowerClient>(c2);
+    let skipped = (pc.stats.schedules_received, pc.stats.schedules_missed);
+
+    assert_eq!(malformed, skipped, "a malformed schedule is a schedule not received");
+    assert!(malformed.1 >= 2, "both bad schedules declared missed: {malformed:?}");
     assert_eq!(stats.missed_frames, 0, "miss recovery kept the radio on");
 }
 

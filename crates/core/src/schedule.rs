@@ -75,6 +75,23 @@ impl Schedule {
         self.entries.iter().filter(move |e| e.client == me || e.client.is_broadcast())
     }
 
+    /// Semantic sanity of a schedule, whatever bytes it was decoded from:
+    /// entries in rendezvous order without overlap (each slot starts at or
+    /// after the previous one ends), the last slot ending at or before
+    /// `next_srp`, and a nonzero `next_srp`. Every policy builds
+    /// well-formed schedules (the contract proptests check it); a receiver
+    /// treats a malformed one like a schedule it never heard.
+    pub fn is_well_formed(&self) -> bool {
+        let mut cursor = SimDuration::ZERO;
+        for e in &self.entries {
+            if e.rp_offset < cursor {
+                return false;
+            }
+            cursor = e.rp_offset + e.duration;
+        }
+        cursor <= self.next_srp && !self.next_srp.is_zero()
+    }
+
     /// True when the two schedules assign identical slots.
     pub fn same_slots(&self, other: &Schedule) -> bool {
         self.entries == other.entries && self.next_srp == other.next_srp
@@ -583,5 +600,31 @@ mod tests {
         );
         assert!(s.entries.is_empty());
         assert_eq!(s.seq, 3);
+    }
+
+    #[test]
+    fn well_formedness_catches_overlap_overrun_and_zero_interval() {
+        let slot = |host, rp_ms, dur_ms| ScheduleEntry {
+            client: HostAddr(host),
+            rp_offset: SimDuration::from_ms(rp_ms),
+            duration: SimDuration::from_ms(dur_ms),
+        };
+        let ok = Schedule {
+            entries: vec![slot(1, 5, 10), slot(2, 15, 10)],
+            next_srp: SimDuration::from_ms(25),
+            ..Schedule::default()
+        };
+        assert!(ok.is_well_formed(), "back-to-back slots ending at the RP");
+        assert!(
+            Schedule { next_srp: SimDuration::from_ms(1), ..Schedule::default() }.is_well_formed()
+        );
+
+        let overlap = Schedule { entries: vec![slot(1, 5, 10), slot(2, 14, 10)], ..ok.clone() };
+        assert!(!overlap.is_well_formed(), "second slot starts inside the first");
+        let reversed = Schedule { entries: vec![slot(2, 15, 10), slot(1, 5, 10)], ..ok.clone() };
+        assert!(!reversed.is_well_formed(), "entries out of rendezvous order");
+        let overrun = Schedule { next_srp: SimDuration::from_ms(24), ..ok.clone() };
+        assert!(!overrun.is_well_formed(), "last slot ends past the next SRP");
+        assert!(!Schedule::default().is_well_formed(), "zero interval");
     }
 }

@@ -99,17 +99,14 @@ proptest! {
             },
         };
         let sched = build_schedule(policy, &BuilderConfig::default(), &demands, 0);
-        let mut cursor = SimDuration::ZERO;
-        for e in &sched.entries {
-            prop_assert!(e.rp_offset >= cursor, "slot overlap at {:?}", e);
-            cursor = e.rp_offset + e.duration;
-        }
         prop_assert!(
-            cursor <= sched.next_srp,
-            "layout {} spills past interval {}",
-            cursor,
+            sched.is_well_formed(),
+            "malformed layout {:?} for interval {}",
+            sched.entries,
             sched.next_srp
         );
+        // Rendezvous order makes the last slot's end the layout's end.
+        let cursor = sched.entries.last().map_or(SimDuration::ZERO, |e| e.rp_offset + e.duration);
         // Dynamic policies: every positive demand gets a slot unless the
         // interval is saturated (slots were clamped away).
         if policy_idx == 0 {

@@ -19,7 +19,7 @@ use powerburst_net::{
 use powerburst_obs::{Counter, Recorder, RecorderConfig};
 use powerburst_sim::rng::streams;
 use powerburst_sim::{derive_rng, ClockModel, SimDuration, SimTime};
-use powerburst_trace::{analyze_client, utilization, PolicyParams};
+use powerburst_trace::{utilization, PolicyParams, TraceIndex};
 use powerburst_traffic::{
     generate_script, App, ByteServer, FtpClientApp, StreamSpec, VideoClientApp, VideoServer,
     WebClientApp,
@@ -436,6 +436,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
     a.world.run_until(SimTime::ZERO + cfg.duration);
 
     let trace = a.world.take_trace();
+    let index = TraceIndex::new(&trace);
     let card = CardSpec::WAVELAN_DSSS;
     let end = SimTime::ZERO + cfg.duration;
 
@@ -450,7 +451,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
             skip_unchanged: spec.skip_unchanged,
             ..PolicyParams::default()
         };
-        let post = analyze_client(&trace, host, end, &policy);
+        let post = index.analyze(host, end, &policy);
 
         let live = match cfg.radio {
             RadioMode::Monitor => None,

@@ -5,7 +5,8 @@
 //! per-client WNIC energy, missed packets, and the waste decomposition of
 //! Figure 6, against the baseline of a naive always-on client.
 //!
-//! * [`postmortem`] — the replay simulator ([`analyze_client`]);
+//! * [`postmortem`] — the replay simulator ([`analyze_client`], and
+//!   [`TraceIndex`] to replay a whole world's clients from one index);
 //! * [`summary`] — per-client traffic accounting, medium utilization, and
 //!   JSON-lines export of captures;
 //! * [`golden`] — the golden-trace regression harness: canonical summary
@@ -19,7 +20,7 @@ pub mod postmortem;
 pub mod summary;
 
 pub use golden::{check_golden, render_postmortem};
-pub use postmortem::{analyze_client, PolicyParams, PostmortemReport};
+pub use postmortem::{analyze_client, PolicyParams, PostmortemReport, TraceIndex};
 pub use summary::{
     client_traffic, medium_summary, to_jsonl, utilization, ClientTraffic, MediumSummary, TraceRow,
 };

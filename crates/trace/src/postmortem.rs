@@ -12,6 +12,17 @@
 //! amount, sleep-on-mark, miss recovery) and integrates WNIC energy over
 //! the resulting mode timeline. Frames that arrive while the replayed
 //! client is asleep are the "packets lost" the paper reports (§4.3).
+//!
+//! [`analyze_client`] scans the whole trace, so replaying every client of
+//! a world that way costs O(clients × records). A world's postmortem
+//! builds one [`TraceIndex`] instead and replays each client with
+//! [`TraceIndex::analyze`], for O(records + Σ own records + clients ×
+//! broadcasts) in total. Skipping the other records is exact: a record
+//! changes a client's replay state only when it is a broadcast, the
+//! client's own uplink, or a frame addressed to the client (an AP queue
+//! drop included); every other record is a no-op. Policy timers are keyed
+//! on event time, not on records, so they fire at the same instants and
+//! in the same order whether or not the skipped records are visited.
 
 use powerburst_core::Schedule;
 use powerburst_energy::{naive_energy_mj, CardSpec, Wnic};
@@ -463,7 +474,9 @@ impl Replay {
                 self.wnic.on_receive(t, rec.airtime);
                 if is_sched {
                     if let Some(payload) = &rec.payload {
-                        if let Some(sched) = Schedule::decode(payload) {
+                        // A malformed layout counts as undecodable.
+                        let sched = Schedule::decode(payload).filter(Schedule::is_well_formed);
+                        if let Some(sched) = sched {
                             self.schedules_seen += 1;
                             if self.in_burst && self.pending.is_none() {
                                 // Rule (1): defer until the marked packet —
@@ -515,9 +528,22 @@ impl Replay {
 }
 
 /// Replay `records` (time-ordered) for `client`, ending the billing window
-/// at `run_end`.
+/// at `run_end`. Scans the whole trace; [`TraceIndex::analyze`] gives the
+/// same report from only the records that concern `client`.
 pub fn analyze_client(
     records: &[SnifferRecord],
+    client: HostAddr,
+    run_end: SimTime,
+    p: &PolicyParams,
+) -> PostmortemReport {
+    replay(records.iter(), client, run_end, p)
+}
+
+/// The replay loop shared by [`analyze_client`] and [`TraceIndex::analyze`]:
+/// `records` must be in trace order and include every record that
+/// concerns `client` (others are no-ops, so they may be left out).
+fn replay<'a>(
+    records: impl Iterator<Item = &'a SnifferRecord>,
     client: HostAddr,
     run_end: SimTime,
     p: &PolicyParams,
@@ -564,6 +590,105 @@ pub fn analyze_client(
         early_wait: r.early_wait,
         missed_sched_wait: r.missed_sched_wait,
         bytes_delivered: r.bytes_delivered,
+    }
+}
+
+/// A per-world index of a sniffer trace, built once in O(records), that
+/// lets each client's replay visit only the records that can change its
+/// state: every broadcast, plus the non-broadcast records it sent or that
+/// were addressed to it.
+pub struct TraceIndex<'a> {
+    records: &'a [SnifferRecord],
+    /// Positions of every `Delivery::Broadcast` record, shared by all
+    /// clients.
+    broadcasts: Vec<u32>,
+    /// CSR offsets by host id: host `h`'s own records are
+    /// `own[offsets[h]..offsets[h + 1]]`.
+    offsets: Vec<u32>,
+    /// Positions of non-broadcast records, grouped by the host that sent
+    /// or was addressed by them (once when it did both), ascending within
+    /// each host.
+    own: Vec<u32>,
+}
+
+impl<'a> TraceIndex<'a> {
+    /// Index `records` (time-ordered). The host table is sized by the
+    /// largest unicast host id in the trace.
+    pub fn new(records: &'a [SnifferRecord]) -> TraceIndex<'a> {
+        let pos = |i: usize| u32::try_from(i).expect("trace positions fit in u32");
+        // The hosts a non-broadcast record is listed under.
+        let hosts = |rec: &SnifferRecord| {
+            let (src, dst) = (rec.src.host, rec.dst.host);
+            let keep = |h: HostAddr| (!h.is_broadcast()).then_some(h.0 as usize);
+            [keep(src), if dst == src { None } else { keep(dst) }].into_iter().flatten()
+        };
+        let mut broadcasts = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
+        for (i, rec) in records.iter().enumerate() {
+            if rec.delivery == Delivery::Broadcast {
+                broadcasts.push(pos(i));
+                continue;
+            }
+            for h in hosts(rec) {
+                if h >= counts.len() {
+                    counts.resize(h + 1, 0);
+                }
+                counts[h] += 1;
+            }
+        }
+        // Exclusive prefix sums; `next[h]` is host `h`'s fill cursor.
+        let mut offsets = Vec::with_capacity(counts.len() + 1);
+        let mut total = 0u32;
+        offsets.push(0);
+        for c in &counts {
+            total += c;
+            offsets.push(total);
+        }
+        let mut next = offsets[..counts.len()].to_vec();
+        let mut own = vec![0u32; total as usize];
+        for (i, rec) in records.iter().enumerate() {
+            if rec.delivery == Delivery::Broadcast {
+                continue;
+            }
+            for h in hosts(rec) {
+                own[next[h] as usize] = pos(i);
+                next[h] += 1;
+            }
+        }
+        TraceIndex { records, broadcasts, offsets, own }
+    }
+
+    /// Positions of `host`'s own (non-broadcast) records.
+    fn own_of(&self, host: HostAddr) -> &[u32] {
+        let h = host.0 as usize;
+        match (self.offsets.get(h), self.offsets.get(h + 1)) {
+            (Some(&lo), Some(&hi)) => &self.own[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// The same report as [`analyze_client`] over the indexed trace, for a
+    /// unicast `client`, replaying only the broadcasts and its own
+    /// records, merged back into trace order.
+    pub fn analyze(
+        &self,
+        client: HostAddr,
+        run_end: SimTime,
+        p: &PolicyParams,
+    ) -> PostmortemReport {
+        debug_assert!(!client.is_broadcast(), "the replay is per unicast client");
+        let (mut bcast, mut own) = (&self.broadcasts[..], self.own_of(client));
+        let merged = std::iter::from_fn(move || {
+            let list = match (bcast.first(), own.first()) {
+                (Some(b), Some(o)) if b < o => &mut bcast,
+                (Some(_), None) => &mut bcast,
+                _ => &mut own,
+            };
+            let (&next, rest) = list.split_first()?;
+            *list = rest;
+            Some(&self.records[next as usize])
+        });
+        replay(merged, client, run_end, p)
     }
 }
 
@@ -696,6 +821,39 @@ mod tests {
         // On a perfectly punctual trace, waking earlier only wastes energy.
         assert!(r0.early_wait < r8.early_wait);
         assert!(r0.energy_mj < r8.energy_mj);
+    }
+
+    #[test]
+    fn malformed_schedules_replay_like_undecodable_ones() {
+        // Interval 5 carries an overlapping layout, interval 8 an RP past
+        // the interval; both decode, neither is well-formed.
+        let mut overlap = simple_schedule(10, 10, 100);
+        overlap.entries.push(ScheduleEntry {
+            client: HostAddr(11),
+            rp_offset: SimDuration::from_ms(15),
+            duration: SimDuration::from_ms(10),
+        });
+        let past_interval = simple_schedule(105, 10, 100);
+        let bad = |recs: &mut Vec<SnifferRecord>, k: usize, payload: Bytes| {
+            recs[3 * k].payload = Some(payload);
+        };
+        let end = SimTime::from_ms(5 + 100 * 20);
+        let p = PolicyParams::default();
+
+        let mut malformed = periodic_trace(20);
+        bad(&mut malformed, 5, overlap.encode());
+        bad(&mut malformed, 8, past_interval.encode());
+        let mut garbled = periodic_trace(20);
+        bad(&mut garbled, 5, Bytes::from_static(b"junk"));
+        bad(&mut garbled, 8, Bytes::from_static(b"junk"));
+
+        let a = analyze_client(&malformed, CLIENT, end, &p);
+        let b = analyze_client(&garbled, CLIENT, end, &p);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "malformed must replay as undecodable");
+        assert_eq!(a.schedules_seen, 18);
+        assert!(a.schedules_missed >= 2, "missed {}", a.schedules_missed);
+        let clean = analyze_client(&periodic_trace(20), CLIENT, end, &p);
+        assert!(a.missed_sched_wait > clean.missed_sched_wait);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests for the postmortem analyzer: for arbitrary well-formed
 //! schedule/burst traces, the replay's accounting must balance and its
-//! energy must stay inside physical bounds.
+//! energy must stay inside physical bounds; and for arbitrary multi-client
+//! traces, the indexed replay must reproduce the full scan exactly.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -9,7 +10,7 @@ use powerburst_core::{Schedule, ScheduleEntry};
 use powerburst_energy::CardSpec;
 use powerburst_net::{ports, Delivery, HostAddr, Packet, SnifferRecord, SockAddr};
 use powerburst_sim::{SimDuration, SimTime};
-use powerburst_trace::{analyze_client, PolicyParams};
+use powerburst_trace::{analyze_client, PolicyParams, PostmortemReport, TraceIndex};
 
 const CLIENT: HostAddr = HostAddr(100);
 const PROXY: HostAddr = HostAddr(3);
@@ -54,6 +55,96 @@ fn data_record(t_us: u64, mark: bool) -> SnifferRecord {
         &pkt,
         SimDuration::from_us(1_200),
         Delivery::Delivered,
+    )
+}
+
+/// Every report field as raw bits (floats by `to_bits`). Destructured
+/// exhaustively, so a new field cannot slip past the equivalence check.
+fn bits(r: &PostmortemReport) -> [u64; 15] {
+    let PostmortemReport {
+        energy_mj,
+        naive_mj,
+        saved,
+        sleep,
+        awake,
+        transitions,
+        delivered,
+        missed,
+        ap_drops,
+        schedules_seen,
+        schedules_missed,
+        skipped_srp_wakes,
+        early_wait,
+        missed_sched_wait,
+        bytes_delivered,
+    } = *r;
+    [
+        energy_mj.to_bits(),
+        naive_mj.to_bits(),
+        saved.to_bits(),
+        sleep.as_us(),
+        awake.as_us(),
+        transitions,
+        delivered,
+        missed,
+        ap_drops,
+        schedules_seen,
+        schedules_missed,
+        skipped_srp_wakes,
+        early_wait.as_us(),
+        missed_sched_wait.as_us(),
+        bytes_delivered,
+    ]
+}
+
+/// One captured UDP frame carrying `body`.
+fn frame(
+    t_us: u64,
+    src: SockAddr,
+    dst: SockAddr,
+    body: Bytes,
+    mark: bool,
+    delivery: Delivery,
+) -> SnifferRecord {
+    let mut pkt = Packet::udp(0, src, dst, body);
+    pkt.tos_mark = mark;
+    SnifferRecord::of(SimTime::from_us(t_us), &pkt, SimDuration::from_us(900), delivery)
+}
+
+/// A schedule broadcast from `proxy` giving each of `clients` a 10 ms
+/// slot; `malformed` overlaps the slots instead.
+fn schedule_from(
+    t_us: u64,
+    proxy: HostAddr,
+    seq: u64,
+    clients: &[HostAddr],
+    unchanged: bool,
+    malformed: bool,
+) -> SnifferRecord {
+    let stride = if malformed { 4 } else { 12 };
+    let sched = Schedule {
+        seq,
+        entries: clients
+            .iter()
+            .enumerate()
+            .map(|(j, &client)| ScheduleEntry {
+                client,
+                rp_offset: SimDuration::from_ms(5 + stride * j as u64),
+                duration: SimDuration::from_ms(10),
+            })
+            .collect(),
+        next_srp: SimDuration::from_ms(100),
+        unchanged,
+        fixed_slots: false,
+        saturated: false,
+    };
+    frame(
+        t_us,
+        SockAddr::new(proxy, ports::SCHEDULE),
+        SockAddr::new(HostAddr::BROADCAST, ports::SCHEDULE),
+        sched.encode(),
+        false,
+        Delivery::Broadcast,
     )
 }
 
@@ -145,5 +236,111 @@ proptest! {
         prop_assert_eq!(a.missed, 0);
         prop_assert_eq!(b.missed, 0);
         prop_assert!(b.energy_mj >= a.energy_mj - 1e-6, "earlier wake can't be cheaper");
+    }
+
+    /// `TraceIndex::analyze` equals `analyze_client` on every report field
+    /// for every client, over traces mixing two proxies' schedule cycles
+    /// (some flagged unchanged, some malformed), their bursts, and stray
+    /// frames of every kind: non-schedule and client-sent broadcasts,
+    /// client uplink, self-addressed frames, every `Delivery` outcome
+    /// addressed to a client, corrupted broadcasts and unrelated server
+    /// traffic, many sharing timestamps. Also replayed: a client that
+    /// never appears in the trace and one past the index's host table.
+    #[test]
+    fn indexed_replay_equals_the_full_scan(
+        n_clients in 3usize..7,
+        intervals in 5u64..30,
+        jitters_ms in prop::collection::vec(0u64..6, 1..30),
+        ops in prop::collection::vec(
+            (0u8..13, 0usize..6, 0u64..3_000, any::<bool>()),
+            0..300,
+        ),
+        policy in (0u64..10, any::<bool>()),
+    ) {
+        let clients: Vec<HostAddr> = (0..n_clients).map(|i| HostAddr(100 + i as u32)).collect();
+        let proxy_a = HostAddr(3);
+        let proxy_b = HostAddr(4);
+        let server = SockAddr::new(HostAddr(1), 554);
+        let span_ms = intervals * 100;
+        let mut recs = Vec::new();
+
+        // Two proxies' schedule cycles, 50 ms out of phase, each serving
+        // half the clients with a marked two-frame burst per slot.
+        for k in 0..intervals {
+            let jitter = jitters_ms[k as usize % jitters_ms.len()];
+            for (proxy, phase, parity) in [(proxy_a, 2, 0), (proxy_b, 52, 1)] {
+                let served: Vec<HostAddr> =
+                    clients.iter().copied().skip(parity).step_by(2).collect();
+                let t0 = (k * 100 + phase + jitter) * 1_000;
+                let malformed = (k + jitter) % 7 == 3;
+                recs.push(schedule_from(t0, proxy, k, &served, k % 3 == 1, malformed));
+                for (j, &c) in served.iter().enumerate() {
+                    let rp = t0 + (5 + 12 * j as u64) * 1_000;
+                    for f in 0..2u64 {
+                        recs.push(frame(
+                            rp + f * 1_000,
+                            server,
+                            SockAddr::new(c, 554),
+                            Bytes::from(vec![0u8; 300]),
+                            f == 1,
+                            Delivery::Delivered,
+                        ));
+                    }
+                }
+            }
+        }
+
+        // Stray frames on a 1 ms grid, so many share a timestamp with each
+        // other or with the cycles above.
+        for &(kind, who, at_ms, flag) in &ops {
+            let t = (at_ms % span_ms) * 1_000;
+            let c = clients[who % n_clients];
+            let to_c = SockAddr::new(c, 554);
+            let body = Bytes::from(vec![7u8; 64]);
+            let bcast = |port| SockAddr::new(HostAddr::BROADCAST, port);
+            let other = SockAddr::new(HostAddr(2), 80);
+            recs.push(match kind {
+                0 => {
+                    frame(t, SockAddr::new(proxy_a, 9), bcast(9), body, false, Delivery::Broadcast)
+                }
+                1 => frame(t, SockAddr::new(c, 554), server, body, false, Delivery::Delivered),
+                // A client's broadcast, sometimes on the schedule port.
+                2 => {
+                    let port = if flag { ports::SCHEDULE } else { 9 };
+                    frame(t, SockAddr::new(c, 554), bcast(port), body, false, Delivery::Broadcast)
+                }
+                3 => frame(t, server, to_c, body, flag, Delivery::QueueDrop),
+                4 => frame(t, server, to_c, body, flag, Delivery::MissedAsleep),
+                5 => frame(t, server, to_c, body, flag, Delivery::Corrupted),
+                6 => frame(t, server, to_c, body, flag, Delivery::NoSuchHost),
+                7 => frame(t, server, to_c, body, flag, Delivery::Delivered),
+                8 => frame(t, SockAddr::new(c, 7), to_c, body, flag, Delivery::Delivered),
+                9 => {
+                    frame(t, SockAddr::new(proxy_b, 9), bcast(9), body, false, Delivery::Corrupted)
+                }
+                10 => frame(t, server, other, body, flag, Delivery::Delivered),
+                11 => frame(t, to_c, server, body, false, Delivery::QueueDrop),
+                _ => schedule_from(t, proxy_b, 1_000, &clients, flag, !flag),
+            });
+        }
+        recs.sort_by_key(|r| r.t);
+
+        let end = SimTime::from_ms(span_ms + 50);
+        let p = PolicyParams {
+            early_transition: SimDuration::from_ms(policy.0),
+            skip_unchanged: policy.1,
+            ..PolicyParams::default()
+        };
+        let index = TraceIndex::new(&recs);
+        let absent = HostAddr(100 + n_clients as u32);
+        let past_table = HostAddr(10_000);
+        for host in clients.iter().copied().chain([absent, past_table]) {
+            let full = analyze_client(&recs, host, end, &p);
+            let indexed = index.analyze(host, end, &p);
+            prop_assert_eq!(bits(&indexed), bits(&full), "client {} diverged", host);
+            if clients.contains(&host) {
+                prop_assert!(full.schedules_seen > 0, "client {} never synced", host);
+            }
+        }
     }
 }

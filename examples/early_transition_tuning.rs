@@ -5,6 +5,7 @@
 //! every packet. This example sweeps the early-transition amount for one
 //! streaming client against a single captured trace, the same way the
 //! paper's postmortem simulator does, and prints the waste decomposition.
+//! The trace is indexed once and each early amount replays that index.
 //!
 //! ```sh
 //! cargo run --release --example early_transition_tuning [seconds]
@@ -27,6 +28,7 @@ fn main() {
     let mut a = assemble(&cfg);
     a.world.run_until(SimTime::ZERO + cfg.duration);
     let trace = a.world.take_trace();
+    let index = TraceIndex::new(&trace);
     let end = SimTime::ZERO + cfg.duration;
     let card = CardSpec::WAVELAN_DSSS;
 
@@ -45,7 +47,7 @@ fn main() {
             early_transition: SimDuration::from_ms(early),
             ..PolicyParams::default()
         };
-        let rep = analyze_client(&trace, hosts::client(0), end, &p);
+        let rep = index.analyze(hosts::client(0), end, &p);
         let ew = rep.early_waste_mj(&card) / 1_000.0;
         let mw = rep.missed_waste_mj(&card) / 1_000.0;
         if ew + mw < best.1 {

@@ -62,7 +62,7 @@ pub mod prelude {
         RadioMode, ScenarioConfig, ScenarioResult, VideoPattern,
     };
     pub use powerburst_sim::{SimDuration, SimTime, Summary};
-    pub use powerburst_trace::{analyze_client, PolicyParams, PostmortemReport};
+    pub use powerburst_trace::{analyze_client, PolicyParams, PostmortemReport, TraceIndex};
     pub use powerburst_traffic::{Fidelity, WebScriptConfig};
     pub use powerburst_transport::{TcpConfig, TcpEndpoint};
 }

@@ -1,7 +1,8 @@
 //! Multi-cell topology tests: sharded proxies, per-cell broadcast
 //! containment, coordinator liveness, and — the hard constraint — byte
 //! determinism at city scale plus exact 1-cell equivalence when the
-//! extra cells are empty.
+//! extra cells are empty. Also: the indexed postmortem `run_scenario`
+//! uses reproduces the full-trace scan on real worlds.
 
 use powerburst::net::ports;
 use powerburst::prelude::*;
@@ -156,5 +157,105 @@ fn empty_cells_collapse_to_the_single_cell_world() {
         .join("tests/golden/trace_5c_seed42.jsonl");
     if let Err(e) = check_golden(&golden, &rendered) {
         panic!("multi-cell config with one occupied cell drifted from the 1-cell golden: {e}");
+    }
+}
+
+/// Every report field as raw bits (floats by `to_bits`). Destructured
+/// exhaustively, so a new field cannot slip past the equivalence check.
+fn bits(r: &PostmortemReport) -> [u64; 15] {
+    let PostmortemReport {
+        energy_mj,
+        naive_mj,
+        saved,
+        sleep,
+        awake,
+        transitions,
+        delivered,
+        missed,
+        ap_drops,
+        schedules_seen,
+        schedules_missed,
+        skipped_srp_wakes,
+        early_wait,
+        missed_sched_wait,
+        bytes_delivered,
+    } = *r;
+    [
+        energy_mj.to_bits(),
+        naive_mj.to_bits(),
+        saved.to_bits(),
+        sleep.as_us(),
+        awake.as_us(),
+        transitions,
+        delivered,
+        missed,
+        ap_drops,
+        schedules_seen,
+        schedules_missed,
+        skipped_srp_wakes,
+        early_wait.as_us(),
+        missed_sched_wait.as_us(),
+        bytes_delivered,
+    ]
+}
+
+#[test]
+fn indexed_postmortem_matches_the_full_trace_scan() {
+    // A faulted 4 × 16 city, and a 1-cell web + video mix whose clients
+    // differ in early-transition amount and §5 skipping.
+    let city = video_cells(42, 4, 16, 3).with_faults(FaultPlan {
+        loss_prob: 0.03,
+        dup_prob: 0.01,
+        reorder_prob: 0.02,
+        reorder_max: SimDuration::from_ms(3),
+        sched_drop_prob: 0.05,
+        ap_jitter_prob: 0.2,
+        ap_jitter_max: SimDuration::from_ms(8),
+        ..FaultPlan::default()
+    });
+    let mut clients = Vec::new();
+    for k in 0..6u64 {
+        let mut spec = if k % 2 == 0 {
+            ClientSpec::new(ClientKind::Video { fidelity: Fidelity::K56 })
+        } else {
+            ClientSpec::new(ClientKind::Web { script: WebScriptConfig::default() })
+        };
+        spec.early_transition = SimDuration::from_ms(2 * k);
+        spec.skip_unchanged = k % 3 == 0;
+        clients.push(spec);
+    }
+    let mix = ScenarioConfig::new(
+        11,
+        PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) },
+        clients,
+    )
+    .with_duration(SimDuration::from_secs(5));
+
+    for cfg in [city, mix] {
+        for threads in [1, 2] {
+            let cfg = cfg.clone().with_threads(threads);
+            let r = run_scenario(&cfg);
+            if cfg.faults.affects_medium() {
+                assert!(r.faults.frames_lost > 0, "the fault plan fired");
+            }
+            let end = SimTime::ZERO + cfg.duration;
+            let mut a = assemble(&cfg);
+            a.world.run_until(end);
+            let trace = a.world.take_trace();
+            assert_eq!(trace.len(), r.trace_frames, "the fresh run captured the same trace");
+            for (i, spec) in cfg.clients.iter().enumerate() {
+                let policy = PolicyParams {
+                    early_transition: spec.early_transition,
+                    skip_unchanged: spec.skip_unchanged,
+                    ..PolicyParams::default()
+                };
+                let full = analyze_client(&trace, hosts::client(i), end, &policy);
+                assert_eq!(
+                    bits(&r.clients[i].post),
+                    bits(&full),
+                    "client {i} at {threads} threads: indexed postmortem diverged"
+                );
+            }
+        }
     }
 }
