@@ -2,9 +2,14 @@
 //!
 //! [`Wnic`] is the live model: the client daemon drives it (`wake`/`sleep`)
 //! and the network substrate bills frame airtimes against it (`on_receive`/
-//! `on_transmit`). Energy is integrated exactly over the state timeline —
-//! no sampling — so two runs with identical schedules report identical
-//! millijoules.
+//! `on_transmit`). Billing only adds integer microseconds to the dwell
+//! ledger — time asleep, waking, awake, receiving and transmitting — and
+//! the energy is priced from that ledger once, when a report is taken:
+//! Σ (time in state × power). Integer addition is associative, so a bill
+//! split at any extra instant (an `is_listening` probe, say) leaves the
+//! report bit-identical; a reader that knows the radio slept throughout a
+//! span may skip probing it (the postmortem replay relies on this), and
+//! two runs with identical schedules report identical millijoules.
 //!
 //! The sleep→idle transition is modeled per the paper: the card spends
 //! `CardSpec::wake_transition` (2 ms for WaveLAN) at **idle power** during
@@ -54,7 +59,9 @@ pub struct EnergyReport {
     pub tx: SimDuration,
     /// Number of sleep→idle transitions.
     pub wake_transitions: u64,
-    /// Total energy, millijoules.
+    /// Total energy, millijoules, priced from the dwell fields above when
+    /// the report is taken: `sleep_mw·sleep + idle_mw·(waking + awake) +
+    /// (recv_mw − idle_mw)·rx + (xmit_mw − idle_mw)·tx`.
     pub total_mj: f64,
 }
 
@@ -76,6 +83,15 @@ impl EnergyReport {
         }
         1.0 - self.total_mj / naive_mj
     }
+
+    /// This ledger with `total_mj` priced under `spec`.
+    fn priced(mut self, spec: &CardSpec) -> EnergyReport {
+        self.total_mj = spec.sleep_mw * self.sleep.as_secs_f64()
+            + spec.idle_mw * (self.waking + self.awake).as_secs_f64()
+            + (spec.recv_mw - spec.idle_mw) * self.rx.as_secs_f64()
+            + (spec.xmit_mw - spec.idle_mw) * self.tx.as_secs_f64();
+        self
+    }
 }
 
 /// Live WNIC model: state machine + exact energy integration.
@@ -85,6 +101,7 @@ pub struct Wnic {
     state: RadioState,
     /// Instant the current billing segment began.
     since: SimTime,
+    /// The integer dwell ledger; `total_mj` stays unpriced here.
     report: EnergyReport,
     /// Observability handle; disabled by default, so billing costs nothing.
     obs: Recorder,
@@ -127,17 +144,14 @@ impl Wnic {
         self.obs.event(t.as_us(), EventKind::WnicState { client: self.obs_client, from, to });
     }
 
-    /// Close the billing segment ending at `now`.
+    /// Close the billing segment ending at `now` into the dwell ledger.
     fn bill(&mut self, now: SimTime) {
         debug_assert!(now >= self.since, "time went backwards");
         // A Waking segment may straddle its completion point; split it so
-        // the time ledger attributes waking vs awake correctly (power is
-        // idle-rate either way).
+        // the ledger attributes waking vs awake correctly.
         if let RadioState::Waking { until } = self.state {
             if now >= until {
-                let waking_part = until.since(self.since);
-                self.report.waking += waking_part;
-                self.report.total_mj += self.spec.idle_mw * waking_part.as_secs_f64();
+                self.report.waking += until.since(self.since);
                 self.state = RadioState::Awake;
                 self.since = until;
                 self.obs_transition(until, "waking", "awake");
@@ -145,18 +159,9 @@ impl Wnic {
         }
         let span = now.since(self.since);
         match self.state {
-            RadioState::Sleeping => {
-                self.report.sleep += span;
-                self.report.total_mj += self.spec.sleep_mw * span.as_secs_f64();
-            }
-            RadioState::Waking { .. } => {
-                self.report.waking += span;
-                self.report.total_mj += self.spec.idle_mw * span.as_secs_f64();
-            }
-            RadioState::Awake => {
-                self.report.awake += span;
-                self.report.total_mj += self.spec.idle_mw * span.as_secs_f64();
-            }
+            RadioState::Sleeping => self.report.sleep += span,
+            RadioState::Waking { .. } => self.report.waking += span,
+            RadioState::Awake => self.report.awake += span,
         }
         self.since = now;
     }
@@ -185,6 +190,12 @@ impl Wnic {
         self.state = RadioState::Sleeping;
     }
 
+    /// True while the radio is in low-power mode. Pure: a sleeping radio
+    /// stays asleep until `wake`, so this needs no billing instant.
+    pub fn is_asleep(&self) -> bool {
+        self.state == RadioState::Sleeping
+    }
+
     /// Can the radio receive a frame ending at `now`?
     pub fn is_listening(&mut self, now: SimTime) -> bool {
         self.bill(now);
@@ -198,13 +209,12 @@ impl Wnic {
     }
 
     /// Bill a received frame whose airtime was `airtime`, ending at `now`.
-    /// Accounts the difference between receive and idle power over the
+    /// Priced at the difference between receive and idle power over the
     /// frame (the base idle draw over that span is billed by the timeline).
     pub fn on_receive(&mut self, now: SimTime, airtime: SimDuration) {
         self.bill(now);
         debug_assert_eq!(self.state, RadioState::Awake, "received while not listening");
         self.report.rx += airtime;
-        self.report.total_mj += (self.spec.recv_mw - self.spec.idle_mw) * airtime.as_secs_f64();
     }
 
     /// Bill a transmitted frame of `airtime`, ending at `now`. Transmitting
@@ -212,19 +222,17 @@ impl Wnic {
     pub fn on_transmit(&mut self, now: SimTime, airtime: SimDuration) {
         self.bill(now);
         self.report.tx += airtime;
-        self.report.total_mj += (self.spec.xmit_mw - self.spec.idle_mw) * airtime.as_secs_f64();
     }
 
-    /// Finalize at `now` and return the accumulated report.
+    /// Finalize at `now` and return the accumulated, priced report.
     pub fn finish(mut self, now: SimTime) -> EnergyReport {
-        self.bill(now);
-        self.report
+        self.report_at(now)
     }
 
-    /// Snapshot the report as of `now` without consuming the radio.
+    /// Snapshot the priced report as of `now` without consuming the radio.
     pub fn report_at(&mut self, now: SimTime) -> EnergyReport {
         self.bill(now);
-        self.report
+        self.report.priced(&self.spec)
     }
 }
 
@@ -272,7 +280,9 @@ mod tests {
     fn wake_transition_takes_two_ms_and_counts() {
         let mut w = Wnic::new(SPEC);
         w.sleep(SimTime::ZERO);
+        assert!(w.is_asleep());
         w.wake(SimTime::from_ms(100));
+        assert!(!w.is_asleep(), "waking is no longer asleep");
         // Not yet listening during the transition.
         assert!(!w.is_listening(SimTime::from_ms(101)));
         assert!(w.is_high_power(SimTime::from_ms(101)));

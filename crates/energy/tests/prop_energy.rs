@@ -1,9 +1,11 @@
-//! Property tests for the energy model: time conservation and energy
-//! bounds under arbitrary wake/sleep sequences.
+//! Property tests for the energy model: time conservation, energy bounds
+//! and split-invariant billing under arbitrary wake/sleep sequences.
 
 use proptest::prelude::*;
 
-use powerburst_energy::{naive_energy_mj, optimal_savings, CardSpec, OptimalInput, Wnic};
+use powerburst_energy::{
+    naive_energy_mj, optimal_savings, CardSpec, EnergyReport, OptimalInput, Wnic,
+};
 use powerburst_sim::{SimDuration, SimTime};
 
 #[derive(Debug, Clone, Copy)]
@@ -23,7 +25,70 @@ fn ops() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Apply `op` at `t`, as the client daemon and the network would.
+fn apply(w: &mut Wnic, t: SimTime, op: Op) {
+    match op {
+        Op::Wake => w.wake(t),
+        Op::Sleep => w.sleep(t),
+        Op::Rx(air_us) => {
+            if w.is_listening(t) {
+                w.on_receive(t, SimDuration::from_us(air_us));
+            }
+        }
+        Op::Tx(air_us) => w.on_transmit(t, SimDuration::from_us(air_us)),
+    }
+}
+
+/// Every report field as raw bits. Destructured exhaustively, so a new
+/// field cannot slip past the comparison.
+fn bits(r: &EnergyReport) -> [u64; 7] {
+    let EnergyReport { sleep, waking, awake, rx, tx, wake_transitions, total_mj } = *r;
+    [
+        sleep.as_us(),
+        waking.as_us(),
+        awake.as_us(),
+        rx.as_us(),
+        tx.as_us(),
+        wake_transitions,
+        total_mj.to_bits(),
+    ]
+}
+
 proptest! {
+    /// Billing is split-invariant: probing the radio at arbitrary extra
+    /// instants (`is_listening`, `is_high_power`) between the operations
+    /// leaves every report field bit-identical, energy included.
+    #[test]
+    fn extra_probes_leave_the_report_bit_identical(
+        steps in prop::collection::vec(
+            (1u64..50_000, ops(), prop::collection::vec((0u64..50_000, any::<bool>()), 0..4)),
+            1..80,
+        ),
+    ) {
+        let spec = CardSpec::WAVELAN_DSSS;
+        let mut plain = Wnic::new(spec);
+        let mut probed = Wnic::new(spec);
+        let mut t = SimTime::ZERO;
+        for (dt, op, probes) in steps {
+            let mut offsets: Vec<(u64, bool)> =
+                probes.into_iter().map(|(off, kind)| (off % dt, kind)).collect();
+            offsets.sort_unstable();
+            for (off, listening) in offsets {
+                let at = t + SimDuration::from_us(off);
+                if listening {
+                    probed.is_listening(at);
+                } else {
+                    probed.is_high_power(at);
+                }
+            }
+            t += SimDuration::from_us(dt);
+            apply(&mut plain, t, op);
+            apply(&mut probed, t, op);
+        }
+        let end = t + SimDuration::from_ms(1);
+        prop_assert_eq!(bits(&probed.finish(end)), bits(&plain.finish(end)));
+    }
+
     /// Sleep + waking + awake always equals the observed duration, and the
     /// total energy lies between the all-sleep and all-transmit bounds.
     #[test]

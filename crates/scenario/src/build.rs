@@ -592,7 +592,8 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
         clients,
         proxy: proxy_stats,
         medium_drops: a.world.medium_drops(),
-        utilization: utilization(&trace, cfg.duration),
+        // Each occupied cell has a medium of its own; report their mean.
+        utilization: utilization(&trace, cfg.duration) / a.shards.len() as f64,
         trace_frames: trace.len(),
         duration: cfg.duration,
         downshifts,

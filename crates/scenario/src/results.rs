@@ -114,7 +114,9 @@ pub struct ScenarioResult {
     pub proxy: ProxyStats,
     /// Frames dropped at the medium transmit queue (AP overload).
     pub medium_drops: u64,
-    /// Medium utilization over the run.
+    /// Mean per-cell medium utilization over the run: the airtime every
+    /// cell's medium carried, over run length × occupied cells. A 1-cell
+    /// world's is its one medium's busy fraction.
     pub utilization: f64,
     /// Captured frames.
     pub trace_frames: usize,

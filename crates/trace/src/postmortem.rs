@@ -16,13 +16,20 @@
 //! [`analyze_client`] scans the whole trace, so replaying every client of
 //! a world that way costs O(clients × records). A world's postmortem
 //! builds one [`TraceIndex`] instead and replays each client with
-//! [`TraceIndex::analyze`], for O(records + Σ own records + clients ×
-//! broadcasts) in total. Skipping the other records is exact: a record
-//! changes a client's replay state only when it is a broadcast, the
-//! client's own uplink, or a frame addressed to the client (an AP queue
-//! drop included); every other record is a no-op. Policy timers are keyed
-//! on event time, not on records, so they fire at the same instants and
-//! in the same order whether or not the skipped records are visited.
+//! [`TraceIndex::analyze`], for O(records + Σ own records + Σ broadcasts
+//! heard awake + sleep spans · log broadcasts) in total. Skipping is
+//! exact. A record changes a client's replay state only when it is a
+//! broadcast, the client's own uplink, or a frame addressed to the client
+//! (an AP queue drop included); every other record is a no-op. A
+//! broadcast the client neither sent nor hears — its radio asleep — only
+//! adds its airtime to the naive client's receive time and splits the
+//! WNIC's dwell bill, which the integer ledger makes a no-op too; and the
+//! radio can leave sleep only on a policy timer. So while the radio
+//! sleeps, every broadcast before the next timer and before the client's
+//! next own record is skipped in one step, its airtime taken from a
+//! prefix sum. Policy timers are keyed on event time, not on records, so
+//! they fire at the same instants and in the same order whether or not
+//! the skipped records are visited.
 
 use powerburst_core::Schedule;
 use powerburst_energy::{naive_energy_mj, CardSpec, Wnic};
@@ -539,17 +546,39 @@ pub fn analyze_client(
     replay(records.iter(), client, run_end, p)
 }
 
-/// The replay loop shared by [`analyze_client`] and [`TraceIndex::analyze`]:
-/// `records` must be in trace order and include every record that
-/// concerns `client` (others are no-ops, so they may be left out).
+/// Where the replay loop reads its records from, in trace order. Every
+/// record that concerns the client must come out of `next` (others are
+/// no-ops, so a source may leave them out).
+trait RecordSource<'a>: Iterator<Item = &'a SnifferRecord> {
+    /// Called while the replayed radio sleeps, with the next policy
+    /// timer: pass over upcoming broadcasts that precede both that timer
+    /// and the client's next own record (self-sent broadcasts included),
+    /// returning their summed airtime. Skipping none is always correct.
+    fn skip_unheard(&mut self, next_timer: Option<SimTime>) -> SimDuration;
+}
+
+/// The full scan, kept as the reference: it visits every record.
+impl<'a> RecordSource<'a> for std::slice::Iter<'a, SnifferRecord> {
+    fn skip_unheard(&mut self, _next_timer: Option<SimTime>) -> SimDuration {
+        SimDuration::ZERO
+    }
+}
+
+/// The replay loop shared by [`analyze_client`] and [`TraceIndex::analyze`].
 fn replay<'a>(
-    records: impl Iterator<Item = &'a SnifferRecord>,
+    mut records: impl RecordSource<'a>,
     client: HostAddr,
     run_end: SimTime,
     p: &PolicyParams,
 ) -> PostmortemReport {
     let mut r = Replay::new(client, *p);
-    for rec in records {
+    loop {
+        if r.wnic.is_asleep() {
+            // Only a policy timer can wake the radio, so until the next
+            // one an unheard broadcast adds naive airtime and nothing else.
+            r.naive_rx_airtime += records.skip_unheard(r.heap.peek_time());
+        }
+        let Some(rec) = records.next() else { break };
         // Fire policy timers due before this frame.
         while let Some(evt) = r.heap.peek_time() {
             if evt > rec.t {
@@ -595,19 +624,24 @@ fn replay<'a>(
 
 /// A per-world index of a sniffer trace, built once in O(records), that
 /// lets each client's replay visit only the records that can change its
-/// state: every broadcast, plus the non-broadcast records it sent or that
+/// state: the broadcasts it may hear, plus the records it sent or that
 /// were addressed to it.
 pub struct TraceIndex<'a> {
     records: &'a [SnifferRecord],
     /// Positions of every `Delivery::Broadcast` record, shared by all
     /// clients.
     broadcasts: Vec<u32>,
+    /// Capture time of each broadcast, parallel to `broadcasts`.
+    broadcast_t: Vec<SimTime>,
+    /// Airtime of the broadcasts before each one: `airtime_before[k]` sums
+    /// `broadcasts[..k]`, so it has one more entry than `broadcasts`.
+    airtime_before: Vec<SimDuration>,
     /// CSR offsets by host id: host `h`'s own records are
     /// `own[offsets[h]..offsets[h + 1]]`.
     offsets: Vec<u32>,
-    /// Positions of non-broadcast records, grouped by the host that sent
-    /// or was addressed by them (once when it did both), ascending within
-    /// each host.
+    /// Positions of the records each host sent or was addressed by (once
+    /// when it did both), ascending within each host. A host's own
+    /// broadcasts are listed here as well as in `broadcasts`.
     own: Vec<u32>,
 }
 
@@ -616,18 +650,23 @@ impl<'a> TraceIndex<'a> {
     /// largest unicast host id in the trace.
     pub fn new(records: &'a [SnifferRecord]) -> TraceIndex<'a> {
         let pos = |i: usize| u32::try_from(i).expect("trace positions fit in u32");
-        // The hosts a non-broadcast record is listed under.
+        // The unicast hosts a record is listed under.
         let hosts = |rec: &SnifferRecord| {
             let (src, dst) = (rec.src.host, rec.dst.host);
             let keep = |h: HostAddr| (!h.is_broadcast()).then_some(h.0 as usize);
             [keep(src), if dst == src { None } else { keep(dst) }].into_iter().flatten()
         };
         let mut broadcasts = Vec::new();
+        let mut broadcast_t = Vec::new();
+        let mut airtime_before = vec![SimDuration::ZERO];
+        let mut airtime = SimDuration::ZERO;
         let mut counts: Vec<u32> = Vec::new();
         for (i, rec) in records.iter().enumerate() {
             if rec.delivery == Delivery::Broadcast {
                 broadcasts.push(pos(i));
-                continue;
+                broadcast_t.push(rec.t);
+                airtime += rec.airtime;
+                airtime_before.push(airtime);
             }
             for h in hosts(rec) {
                 if h >= counts.len() {
@@ -647,18 +686,15 @@ impl<'a> TraceIndex<'a> {
         let mut next = offsets[..counts.len()].to_vec();
         let mut own = vec![0u32; total as usize];
         for (i, rec) in records.iter().enumerate() {
-            if rec.delivery == Delivery::Broadcast {
-                continue;
-            }
             for h in hosts(rec) {
                 own[next[h] as usize] = pos(i);
                 next[h] += 1;
             }
         }
-        TraceIndex { records, broadcasts, offsets, own }
+        TraceIndex { records, broadcasts, broadcast_t, airtime_before, offsets, own }
     }
 
-    /// Positions of `host`'s own (non-broadcast) records.
+    /// Positions of `host`'s own records.
     fn own_of(&self, host: HostAddr) -> &[u32] {
         let h = host.0 as usize;
         match (self.offsets.get(h), self.offsets.get(h + 1)) {
@@ -668,8 +704,8 @@ impl<'a> TraceIndex<'a> {
     }
 
     /// The same report as [`analyze_client`] over the indexed trace, for a
-    /// unicast `client`, replaying only the broadcasts and its own
-    /// records, merged back into trace order.
+    /// unicast `client`, replaying its own records merged in trace order
+    /// with the broadcasts, less those it sleeps through.
     pub fn analyze(
         &self,
         client: HostAddr,
@@ -677,18 +713,54 @@ impl<'a> TraceIndex<'a> {
         p: &PolicyParams,
     ) -> PostmortemReport {
         debug_assert!(!client.is_broadcast(), "the replay is per unicast client");
-        let (mut bcast, mut own) = (&self.broadcasts[..], self.own_of(client));
-        let merged = std::iter::from_fn(move || {
-            let list = match (bcast.first(), own.first()) {
-                (Some(b), Some(o)) if b < o => &mut bcast,
-                (Some(_), None) => &mut bcast,
-                _ => &mut own,
-            };
-            let (&next, rest) = list.split_first()?;
-            *list = rest;
-            Some(&self.records[next as usize])
-        });
-        replay(merged, client, run_end, p)
+        replay(
+            ClientRecords { index: self, bcast: 0, own: self.own_of(client) },
+            client,
+            run_end,
+            p,
+        )
+    }
+}
+
+/// One client's view of a [`TraceIndex`]: the broadcasts from cursor
+/// `bcast` on, merged with the client's remaining own records.
+struct ClientRecords<'i, 'a> {
+    index: &'i TraceIndex<'a>,
+    bcast: usize,
+    own: &'i [u32],
+}
+
+impl<'a> Iterator for ClientRecords<'_, 'a> {
+    type Item = &'a SnifferRecord;
+
+    fn next(&mut self) -> Option<&'a SnifferRecord> {
+        let b = self.index.broadcasts.get(self.bcast).copied();
+        let o = self.own.first().copied();
+        let pos = match (b, o) {
+            (Some(b), Some(o)) => b.min(o),
+            _ => b.or(o)?,
+        };
+        // A self-sent broadcast sits in both lists: emit it once.
+        if b == Some(pos) {
+            self.bcast += 1;
+        }
+        if o == Some(pos) {
+            self.own = &self.own[1..];
+        }
+        Some(&self.index.records[pos as usize])
+    }
+}
+
+impl<'a> RecordSource<'a> for ClientRecords<'_, 'a> {
+    fn skip_unheard(&mut self, next_timer: Option<SimTime>) -> SimDuration {
+        let from = self.bcast;
+        let times = &self.index.broadcast_t[from..];
+        let mut n = next_timer.map_or(times.len(), |t| times.partition_point(|&bt| bt < t));
+        if let Some(&o) = self.own.first() {
+            n = self.index.broadcasts[from..from + n].partition_point(|&b| b < o);
+        }
+        self.bcast += n;
+        self.index.airtime_before[self.bcast] - self.index.airtime_before[from]
     }
 }
 

@@ -246,6 +246,15 @@ proptest! {
     /// addressed to a client, corrupted broadcasts and unrelated server
     /// traffic, many sharing timestamps. Also replayed: a client that
     /// never appears in the trace and one past the index's host table.
+    ///
+    /// The cases the sleep skip must stop for are placed on purpose: a
+    /// broadcast at the very instant each slot and SRP wake timer fires
+    /// (heard at once when the wake transition is zero), and inside each
+    /// interval's sleep span a client-sent broadcast, an own uplink frame
+    /// and an AP queue drop addressed to a client. Up to 40 foreign cells
+    /// add schedule broadcasts naming none of these clients, which can
+    /// outnumber every other record, and the window ends at an arbitrary
+    /// instant with the trace cut there, often mid-sleep.
     #[test]
     fn indexed_replay_equals_the_full_scan(
         n_clients in 3usize..7,
@@ -255,13 +264,19 @@ proptest! {
             (0u8..13, 0usize..6, 0u64..3_000, any::<bool>()),
             0..300,
         ),
-        policy in (0u64..10, any::<bool>()),
+        policy in (0u64..10, any::<bool>(), any::<bool>()),
+        foreign_cells in 0u64..40,
+        tail_ms in 0u64..150,
     ) {
         let clients: Vec<HostAddr> = (0..n_clients).map(|i| HostAddr(100 + i as u32)).collect();
         let proxy_a = HostAddr(3);
         let proxy_b = HostAddr(4);
         let server = SockAddr::new(HostAddr(1), 554);
+        let bcast = |port| SockAddr::new(HostAddr::BROADCAST, port);
         let span_ms = intervals * 100;
+        let early_ms = policy.0;
+        let wake_ms = if policy.2 { 0 } else { 2 };
+        let lead_ms = early_ms + wake_ms;
         let mut recs = Vec::new();
 
         // Two proxies' schedule cycles, 50 ms out of phase, each serving
@@ -274,8 +289,16 @@ proptest! {
                 let t0 = (k * 100 + phase + jitter) * 1_000;
                 let malformed = (k + jitter) % 7 == 3;
                 recs.push(schedule_from(t0, proxy, k, &served, k % 3 == 1, malformed));
+                // A foreign broadcast as the SRP wake fires.
+                let ping = |t_ms: u64| {
+                    let src = SockAddr::new(proxy_a, 9);
+                    frame(t_ms * 1_000, src, bcast(9), Bytes::new(), false, Delivery::Broadcast)
+                };
+                recs.push(ping(t0 / 1_000 + 100 - lead_ms));
                 for (j, &c) in served.iter().enumerate() {
                     let rp = t0 + (5 + 12 * j as u64) * 1_000;
+                    // ... and as this client's slot wake fires.
+                    recs.push(ping((rp / 1_000).saturating_sub(lead_ms).max(t0 / 1_000)));
                     for f in 0..2u64 {
                         recs.push(frame(
                             rp + f * 1_000,
@@ -287,6 +310,29 @@ proptest! {
                         ));
                     }
                 }
+                // Mid-interval, after every slot and before the next SRP
+                // wake: one client broadcasts, one sends uplink, and the
+                // AP drops a frame addressed to a third.
+                let c = |off: u64| SockAddr::new(served[(k + off) as usize % served.len()], 554);
+                let port = if k % 2 == 0 { ports::SCHEDULE } else { 9 };
+                for (off_ms, src, dst, delivery) in [
+                    (60, c(0), bcast(port), Delivery::Broadcast),
+                    (66, c(1), server, Delivery::Delivered),
+                    (72, server, c(2), Delivery::QueueDrop),
+                ] {
+                    let body = Bytes::from(vec![5u8; 48]);
+                    recs.push(frame(t0 + off_ms * 1_000, src, dst, body, false, delivery));
+                }
+            }
+        }
+
+        // Foreign cells' schedule cycles, naming only their own clients.
+        for cell in 0..foreign_cells {
+            let proxy = HostAddr(20 + cell as u32);
+            let own = [HostAddr(1_000 + cell as u32)];
+            for k in 0..intervals {
+                let t = (k * 100 + (cell * 37) % 100) * 1_000;
+                recs.push(schedule_from(t, proxy, k, &own, false, false));
             }
         }
 
@@ -297,7 +343,6 @@ proptest! {
             let c = clients[who % n_clients];
             let to_c = SockAddr::new(c, 554);
             let body = Bytes::from(vec![7u8; 64]);
-            let bcast = |port| SockAddr::new(HostAddr::BROADCAST, port);
             let other = SockAddr::new(HostAddr(2), 80);
             recs.push(match kind {
                 0 => {
@@ -323,12 +368,18 @@ proptest! {
                 _ => schedule_from(t, proxy_b, 1_000, &clients, flag, !flag),
             });
         }
+        let end = SimTime::from_ms(span_ms + tail_ms);
+        recs.retain(|r| r.t <= end);
         recs.sort_by_key(|r| r.t);
 
-        let end = SimTime::from_ms(span_ms + 50);
         let p = PolicyParams {
-            early_transition: SimDuration::from_ms(policy.0),
+            early_transition: SimDuration::from_ms(early_ms),
+            wake_transition: SimDuration::from_ms(wake_ms),
             skip_unchanged: policy.1,
+            card: CardSpec {
+                wake_transition: SimDuration::from_ms(wake_ms),
+                ..CardSpec::WAVELAN_DSSS
+            },
             ..PolicyParams::default()
         };
         let index = TraceIndex::new(&recs);

@@ -128,6 +128,18 @@ fn coordinator_reports_and_grants_flow() {
 }
 
 #[test]
+fn city_utilization_is_the_mean_over_its_cells() {
+    // Four cells of eight clients each carry about the load of one such
+    // cell apiece, so the city's figure must read like the one cell's
+    // rather than four times it.
+    let city = run_scenario(&video_cells(42, 4, 8, 3)).utilization;
+    let cell = run_scenario(&video_cells(42, 1, 8, 3)).utilization;
+    assert!((0.0..=1.0).contains(&city), "city utilization {city}");
+    assert!(cell > 0.0, "one cell carried traffic");
+    assert!((city / cell - 1.0).abs() < 0.25, "city {city} vs one cell {cell}");
+}
+
+#[test]
 fn capped_airtime_pool_stays_deterministic() {
     let cfg = video_cells(42, 4, 8, 3).with_coord_pool(600);
     let a = run_scenario(&cfg);
